@@ -16,6 +16,17 @@ namespace mspdsm::bench
 namespace
 {
 
+/** A pooled event counting its firings: the intrusive event path
+ * every simulator component takes (no std::function, no wrapper). */
+struct CountEvent final : public Event
+{
+    explicit CountEvent(std::uint64_t *f) : fired(f) {}
+
+    void process() override { ++*fired; }
+
+    std::uint64_t *fired;
+};
+
 /**
  * Event-kernel throughput: bulk-schedule a deterministic spread of
  * events and drain the queue. The tick distribution mirrors the
@@ -28,13 +39,14 @@ eventqThroughput()
 {
     constexpr int n = 20000;
     EventQueue eq;
+    EventPool<CountEvent> pool;
     std::uint64_t fired = 0;
     for (int i = 0; i < n; ++i) {
         // Thirds: heavy ties, short spread, medium spread.
         const Tick when = (i % 3 == 0) ? Tick(i % 17)
                         : (i % 3 == 1) ? Tick((i * 7) % 512)
                                        : Tick((i * 131) % 4096);
-        eq.schedule(when, [&fired] { ++fired; });
+        eq.schedule(when, pool.acquire(&fired));
     }
     eq.run();
     return fired;
@@ -42,17 +54,18 @@ eventqThroughput()
 
 /**
  * Distant-event stress: ticks spread across a 65536-tick horizon,
- * far beyond any protocol latency. Tracks the kernel's fallback
- * ordering structure rather than the common path.
+ * far beyond any protocol latency. Tracks the kernel's far-wheel
+ * cascade rather than the common path.
  */
 [[gnu::flatten]] std::uint64_t
 eventqFar()
 {
     constexpr int n = 20000;
     EventQueue eq;
+    EventPool<CountEvent> pool;
     std::uint64_t fired = 0;
     for (int i = 0; i < n; ++i)
-        eq.schedule(Tick((i * 131) % 65536), [&fired] { ++fired; });
+        eq.schedule(Tick((i * 131) % 65536), pool.acquire(&fired));
     eq.run();
     return fired;
 }
@@ -65,16 +78,26 @@ eventqFar()
 [[gnu::flatten]] std::uint64_t
 eventqSelfChain()
 {
-    constexpr int n = 20000;
-    EventQueue eq;
-    int count = 0;
-    std::function<void()> chain = [&] {
-        if (++count < n)
-            eq.scheduleAfter(1, chain);
+    struct Chain final : public Event
+    {
+        void
+        process() override
+        {
+            if (++count < n)
+                eq->scheduleAfter(1, *this);
+        }
+
+        EventQueue *eq = nullptr;
+        std::uint64_t count = 0;
+        std::uint64_t n = 20000;
     };
+
+    EventQueue eq;
+    Chain chain;
+    chain.eq = &eq;
     eq.schedule(0, chain);
     eq.run();
-    return static_cast<std::uint64_t>(count);
+    return chain.count;
 }
 
 /** Shared small workload; generated once, outside the timed region. */
@@ -182,8 +205,7 @@ netRoute()
  * hot ingress NI on the default crossbar, so the whole run is one
  * long busy period at that node. This was the worst case for the
  * retired two-stage path (every message paid an arrival event plus a
- * delivery event, and the fusion guard never opened under the
- * backlog); the per-destination drain batches all the arrival
+ * delivery event); the per-destination drain batches all the arrival
  * bookkeeping into the delivery dispatches it queued behind. Items
  * are messages delivered.
  */

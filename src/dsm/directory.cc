@@ -87,24 +87,6 @@ Directory::specObserve(BlockId blk, SymKind kind, NodeId src)
 }
 
 void
-Directory::sendAt(Tick when, CohMsg msg)
-{
-    if (canRunAt(when)) {
-        // Fused fast path: nothing can fire before @p when, so
-        // injecting now with @p when as the base is indistinguishable
-        // from bouncing through a pooled Send event -- including the
-        // jitter draw order, since no other send can interleave. The
-        // network only ever *schedules* from a send (never delivers
-        // inline), so this cannot run ahead of the caller's
-        // remaining work.
-        eq_.noteFused(when);
-        net_.sendAt(when, msg);
-        return;
-    }
-    scheduleKind(ActKind::Send, when, msg);
-}
-
-void
 Directory::flushFired()
 {
     // Pop-and-dispatch every action due on this tick; (due, seq)
@@ -171,7 +153,7 @@ Directory::readReplyFired(BlockId blk, NodeId reader, Tick base)
     reply.dst = reader;
     reply.blk = blk;
     reply.remoteWork = reader != id_;
-    net_.sendAt(base, reply);
+    net_.send(reply);
     if (obs_) [[unlikely]]
         obs_->dirInstant("read reply", id_, blk, base);
     if (specEnabled())
@@ -185,22 +167,23 @@ Directory::wbGetSFired(BlockId blk, Tick base)
     Entry &e = entry(blk);
     e.state = DirState::Shared;
     e.sharers.add(e.curReq);
-    replicate(e, blk, base);
+    replicate(e, blk);
     CohMsg reply;
     reply.type = MsgType::DataShared;
     reply.src = id_;
     reply.dst = e.curReq;
     reply.blk = blk;
     reply.remoteWork = true;
-    net_.sendAt(base, reply);
+    net_.send(reply);
     if (specEnabled())
         frCheck(e, blk, e.curReq, base);
     drain(blk, base);
 }
 
 void
-Directory::handle(const CohMsg &msg, Tick base)
+Directory::handle(const CohMsg &msg)
 {
+    const Tick base = eq_.curTick();
     panic_if(map_.homeOf(msg.blk) != id_,
              "message routed to wrong home: ", msg.toString());
     Entry &e = entry(msg.blk);
@@ -282,17 +265,13 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
         // data reply is outstanding.
         e.state = DirState::Shared;
         e.sharers.add(src);
-        replicate(e, blk, base);
+        replicate(e, blk);
         ++e.repliesInFlight;
-        const Tick fire = base + cfg_.dirLookup + cfg_.memAccess;
-        if (fuseAt(e, fire)) {
-            readReplyFired(blk, src, fire);
-            return;
-        }
         CohMsg m;
         m.blk = blk;
         m.dst = src;
-        scheduleKind(ActKind::ReadReply, fire, m);
+        scheduleKind(ActKind::ReadReply,
+                     base + cfg_.dirLookup + cfg_.memAccess, m);
         return;
       }
       case DirState::Excl: {
@@ -307,7 +286,7 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
         recall.src = id_;
         recall.dst = e.owner;
         recall.blk = blk;
-        sendAt(base + cfg_.dirLookup, recall);
+        scheduleKind(ActKind::Send, base + cfg_.dirLookup, recall);
         return;
       }
       default:
@@ -337,11 +316,8 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
         e.curReq = src;
         e.curUpgradeGrant = false;
         e.curRemote = src != id_;
-        const Tick fire = base + cfg_.dirLookup + cfg_.memAccess;
-        if (fuseAt(e, fire))
-            grantExcl(e, blk, fire);
-        else
-            scheduleKind(ActKind::Grant, fire, blkMsg(blk));
+        scheduleKind(ActKind::Grant,
+                     base + cfg_.dirLookup + cfg_.memAccess, blkMsg(blk));
         return;
       }
       case DirState::Shared: {
@@ -358,10 +334,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
             e.state = DirState::BusyService;
             const Tick fire = base + cfg_.dirLookup +
                               (upgrade_grant ? 0 : cfg_.memAccess);
-            if (fuseAt(e, fire))
-                grantExcl(e, blk, fire);
-            else
-                scheduleKind(ActKind::Grant, fire, blkMsg(blk));
+            scheduleKind(ActKind::Grant, fire, blkMsg(blk));
             return;
         }
         e.state = DirState::BusyInval;
@@ -375,7 +348,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
             inv.src = id_;
             inv.dst = o;
             inv.blk = blk;
-            sendAt(base + cfg_.dirLookup, inv);
+            scheduleKind(ActKind::Send, base + cfg_.dirLookup, inv);
         }
         return;
       }
@@ -393,7 +366,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
         recall.src = id_;
         recall.dst = e.owner;
         recall.blk = blk;
-        sendAt(base + cfg_.dirLookup, recall);
+        scheduleKind(ActKind::Send, base + cfg_.dirLookup, recall);
         return;
       }
       default:
@@ -413,11 +386,8 @@ Directory::onInvAck(Entry &e, const CohMsg &msg, Tick base)
         e.cold->ackWait.remove(msg.src);
     if (--e.pendingAcks == 0) {
         e.state = DirState::BusyService;
-        const Tick fire = base + cfg_.dirLookup;
-        if (fuseAt(e, fire))
-            grantExcl(e, msg.blk, fire);
-        else
-            scheduleKind(ActKind::Grant, fire, blkMsg(msg.blk));
+        scheduleKind(ActKind::Grant, base + cfg_.dirLookup,
+                     blkMsg(msg.blk));
     }
 }
 
@@ -436,29 +406,13 @@ Directory::absorbWriteBack(Entry &e, BlockId blk, Tick base)
     e.state = DirState::BusyService;
 
     if (e.curIsSwi) {
-        const Tick fire = base + cfg_.memAccess;
-        if (fuseAt(e, fire)) {
-            completeSwi(e, blk, fire);
-            drain(blk, fire);
-            return;
-        }
-        scheduleKind(ActKind::SwiComplete, fire, blkMsg(blk));
+        scheduleKind(ActKind::SwiComplete, base + cfg_.memAccess,
+                     blkMsg(blk));
         return;
     }
-
-    const Tick fire = base + cfg_.memAccess + cfg_.dirLookup;
-    if (e.curType == MsgType::GetS) {
-        if (fuseAt(e, fire))
-            wbGetSFired(blk, fire);
-        else
-            scheduleKind(ActKind::WbGetS, fire, blkMsg(blk));
-        return;
-    }
-
-    if (fuseAt(e, fire))
-        grantExcl(e, blk, fire);
-    else
-        scheduleKind(ActKind::Grant, fire, blkMsg(blk));
+    scheduleKind(e.curType == MsgType::GetS ? ActKind::WbGetS
+                                            : ActKind::Grant,
+                 base + cfg_.memAccess + cfg_.dirLookup, blkMsg(blk));
 }
 
 void
@@ -476,7 +430,7 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
         e.state = DirState::Idle;
         e.owner = invalidNode;
         e.sharers.clear();
-        replicate(e, blk, base);
+        replicate(e, blk);
         drain(blk, base);
         return;
     }
@@ -488,7 +442,7 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
     e.state = DirState::Excl;
     e.owner = w;
     e.sharers.clear();
-    replicate(e, blk, base);
+    replicate(e, blk);
 
     CohMsg reply;
     reply.type = upgrade ? MsgType::UpgradeAck : MsgType::DataExcl;
@@ -496,7 +450,7 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
     reply.dst = w;
     reply.blk = blk;
     reply.remoteWork = e.curRemote;
-    net_.sendAt(base, reply);
+    net_.send(reply);
     if (obs_) [[unlikely]]
         obs_->dirInstant("grant", id_, blk, base);
 
@@ -601,7 +555,7 @@ Directory::trySwi(BlockId blk, NodeId writer, Tick base)
     recall.dst = writer;
     recall.blk = blk;
     recall.speculative = true;
-    sendAt(base + cfg_.dirLookup, recall);
+    scheduleKind(ActKind::Send, base + cfg_.dirLookup, recall);
 }
 
 void
@@ -615,7 +569,7 @@ Directory::completeSwi(Entry &e, BlockId blk, Tick base)
     specStats_.swiLat.sample(base - c.swiLaunch);
     if (obs_) [[unlikely]]
         obs_->swiSpan(id_, blk, c.swiLaunch, base);
-    replicate(e, blk, base); // pushSpec refines this if readers exist
+    replicate(e, blk); // pushSpec refines this if readers exist
 
     // Trigger the predicted read sequence (Section 4.1): forward the
     // block to every predicted consumer.
@@ -668,7 +622,7 @@ Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
     c.misspecPenalized = false;
     c.specSent = c.specSent | targets;
     e.sharers = e.sharers | targets;
-    replicate(e, blk, when);
+    replicate(e, blk);
 
     for (NodeId t : targets) {
         if (trig == SpecTrigger::FirstRead)
@@ -681,7 +635,7 @@ Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
         push.dst = t;
         push.blk = blk;
         push.trigger = trig;
-        sendAt(when, push);
+        scheduleKind(ActKind::Send, when, push);
     }
 }
 
@@ -799,12 +753,12 @@ Directory::verifyCopy(Entry &e, BlockId blk, const CohMsg &msg)
 // --- Fault layer -----------------------------------------------------
 
 void
-Directory::replicate(Entry &e, BlockId blk, Tick base)
+Directory::replicate(Entry &e, BlockId blk)
 {
     if (!faults_ || !faults_->replicating())
         return;
     faults_->noteShardDelta(blk, e.state == DirState::Excl, e.owner,
-                            e.sharers, base);
+                            e.sharers);
 }
 
 void
@@ -922,7 +876,8 @@ Directory::pruneDead(NodeId v, Tick base)
                 c->ackWait.remove(v);
                 if (--e.pendingAcks == 0) {
                     e.state = DirState::BusyService;
-                    scheduleKind(ActKind::Grant, base + cfg_.dirLookup, blkMsg(blk));
+                    scheduleKind(ActKind::Grant, base + cfg_.dirLookup,
+                                 blkMsg(blk));
                 }
             }
             break;

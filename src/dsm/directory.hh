@@ -94,15 +94,7 @@ class Directory
               SpecMode mode);
 
     /** Network-side handler for requests and acknowledgements. */
-    void handle(const CohMsg &msg) { handle(msg, eq_.curTick()); }
-
-    /**
-     * handle() as of tick @p base >= curTick(): the fused delivery
-     * fast path hands messages over ahead of the clock (legal only
-     * while nothing else can fire first); all service latencies and
-     * sends this triggers are anchored on @p base.
-     */
-    void handle(const CohMsg &msg, Tick base);
+    void handle(const CohMsg &msg);
 
     /** Protocol statistics. */
     const DirStats &stats() const { return stats_; }
@@ -313,7 +305,7 @@ class Directory
      * fault layer (which batches the ShardSync traffic). Free when
      * FaultPlan::replicateShards is off -- one predictable branch.
      */
-    void replicate(Entry &e, BlockId blk, Tick base);
+    void replicate(Entry &e, BlockId blk);
 
     /**
      * Arm the flush event for @p t, keeping an already-armed earlier
@@ -361,42 +353,6 @@ class Directory
         CohMsg m;
         m.blk = blk;
         return m;
-    }
-
-    /**
-     * The directory-side fused fast path's guard: a deferred action
-     * whose fire tick is already known may run immediately -- with
-     * that tick as its timing base -- iff nothing else can fire at or
-     * before it (strictly, so an event scheduled earlier for the same
-     * tick keeps priority). Under the guard the action's side effects
-     * and its schedules/sends are observed by the rest of the machine
-     * exactly as from the pooled-event path, one event dispatch
-     * cheaper; when the guard fails the caller falls back to
-     * scheduleKind(), which is the pre-fusion behaviour tick for
-     * tick. The same argument as Processor::step()'s fused run.
-     */
-    bool
-    canRunAt(Tick when)
-    {
-        // Exact guard: a false decline costs a due-queue round trip
-        // and a flush dispatch, which dwarf one bitmap scan.
-        return eq_.canFuseBeforeExact(when);
-    }
-
-    /**
-     * Gate for running a deferred FSM action inline: the horizon
-     * guard (canRunAt) plus an empty deferral queue -- deferred
-     * requests are logically-earlier work invisible to the event
-     * queue, and an inline action must never run ahead of them.
-     * Notes the watermark on success.
-     */
-    bool
-    fuseAt(const Entry &e, Tick when)
-    {
-        if (e.hasDeferred() || !canRunAt(when))
-            return false;
-        eq_.noteFused(when);
-        return true;
     }
 
     /** GetS service finished: send the data, trigger speculation. */
@@ -492,12 +448,9 @@ class Directory
      */
     void specObserve(BlockId blk, SymKind kind, NodeId src);
 
-    // The protocol handlers below take the tick they logically run at
-    // (@p base): the event queue's clock when invoked from a message
-    // delivery or a pooled event, or a future tick when reached
-    // through the fused fast path under canRunAt()'s guard. All their
-    // timing -- service latencies, message injection -- is relative
-    // to that base.
+    // The protocol handlers below take the current tick (@p base) from
+    // their caller; all their timing -- service latencies, deferred
+    // sends -- is relative to it.
     void processRequest(Entry &e, const CohMsg &msg, Tick base);
     void onGetS(Entry &e, const CohMsg &msg, Tick base);
     void onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
@@ -518,9 +471,6 @@ class Directory
     /** Process deferred requests until busy again or empty. */
     void drain(BlockId blk, Tick base);
 
-    /** Send a message from this node at tick @p when. */
-    void sendAt(Tick when, CohMsg msg);
-
     // --- Speculation (Section 4) -------------------------------------
 
     /** True iff read speculation is configured and a VMSP is attached. */
@@ -539,7 +489,7 @@ class Directory
     /** First-Read trigger after serving a read for @p reader. */
     void frCheck(Entry &e, BlockId blk, NodeId reader, Tick base);
 
-    /** Push speculative copies to @p targets at tick @p when. */
+    /** Push speculative copies to @p targets, sent at tick @p when. */
     void pushSpec(Entry &e, BlockId blk, NodeSet targets,
                   SpecTrigger trig, const HistoryKey &key, Tick when);
 

@@ -60,7 +60,6 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
     }
     if (plan_.ckptInterval > 0)
         eq_.schedule(plan_.ckptInterval, ckptEvent_);
-    updateHorizon();
     outcome_.faulted = true;
 }
 
@@ -109,18 +108,6 @@ FaultManager::killsPending() const
 }
 
 void
-FaultManager::updateHorizon()
-{
-    Tick h = maxTick;
-    for (std::size_t i = 0; i < planEvents_.size(); ++i) {
-        const PlanEvent &pe = planEvents_[i];
-        if (pe.scheduled())
-            h = std::min(h, pe.when());
-    }
-    eq_.setFaultHorizon(h);
-}
-
-void
 FaultManager::planFired(PlanEvent &e)
 {
     switch (e.kind) {
@@ -134,11 +121,10 @@ FaultManager::planFired(PlanEvent &e)
         predLoss(e.node);
         break;
     }
-    updateHorizon();
 }
 
 void
-FaultManager::rehome(NodeId h, NodeId to, Tick now)
+FaultManager::rehome(NodeId h, NodeId to)
 {
     if (to == h && dead(h))
         return; // pathological explicit backup == dead victim
@@ -193,7 +179,28 @@ FaultManager::rehome(NodeId h, NodeId to, Tick now)
             m.src = sn;
             m.dst = to;
             m.blk = 0;
-            net_.sendAt(now, m);
+            net_.send(m);
+        }
+    }
+}
+
+void
+FaultManager::purgeMirrors(NodeId v)
+{
+    // The dead node's cache is gone, so no mirror may still name it:
+    // a mirror entry is only rewritten when its block transitions,
+    // and a stale one would be installed verbatim at fail-back
+    // (rehome(v, v)), once v is no longer screened as dead, naming
+    // the restarted victim as owner or sharer of a block its cold
+    // cache does not hold. Mirrors the directory-side pruneDead().
+    for (auto &shard : mirror_) {
+        for (auto &kv : shard) {
+            MirrorEntry &me = kv.second;
+            if (me.excl && me.owner == v) {
+                me.excl = false;
+                me.owner = invalidNode;
+            }
+            me.sharers.remove(v);
         }
     }
 }
@@ -230,10 +237,11 @@ FaultManager::killNode(NodeId v)
         if (dn != v && !dead(dn))
             dirs_[d]->pruneDead(v, now);
     }
+    purgeMirrors(v);
 
     // The backup installs the victim's shard (replicated mirror or
     // survivor sweep; see rehome()).
-    rehome(v, b, now);
+    rehome(v, b);
 
     // Cascading failure: every shard the victim was hosting as a
     // backup (its own failover() just dumped their entries) re-homes
@@ -247,7 +255,7 @@ FaultManager::killNode(NodeId v)
             continue;
         const NodeId next = successor(hn);
         remap_[h] = next;
-        rehome(hn, next, now);
+        rehome(hn, next);
     }
 
     // The victim's predictor state dies with it.
@@ -294,7 +302,7 @@ FaultManager::restartNode(NodeId v)
             obs_->faultInstant("failback", host, now);
     }
     remap_[v] = v;
-    rehome(v, v, now);
+    rehome(v, v);
 
     // Warm restart: the victim's own predictor warms up again from
     // the last checkpoint it replicated out before the crash.
@@ -328,7 +336,7 @@ FaultManager::noteProgress(NodeId n, Tick t)
 
 void
 FaultManager::noteShardDelta(BlockId blk, bool excl, NodeId owner,
-                             NodeSet sharers, Tick base)
+                             NodeSet sharers)
 {
     const NodeId h = map_.geometricHomeOf(blk);
     MirrorEntry &me = mirror_[h][blk];
@@ -354,7 +362,7 @@ FaultManager::noteShardDelta(BlockId blk, bool excl, NodeId owner,
     m.src = src;
     m.dst = dst;
     m.blk = blk; // the delta that filled the batch
-    net_.sendAt(base, m);
+    net_.send(m);
 }
 
 void
@@ -388,7 +396,7 @@ FaultManager::checkpointFired()
             m.src = v;
             m.dst = b;
             m.blk = static_cast<BlockId>(k);
-            net_.sendAt(now, m);
+            net_.send(m);
         }
         outcome_.ckptMessages += burst;
     }

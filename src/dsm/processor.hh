@@ -43,10 +43,10 @@ class GlobalBarrier
     }
 
     /**
-     * Arrive as of tick @p base; @p resume fires when all parties
-     * have arrived (@p base of the last arriver anchors the release).
+     * Arrive now; @p resume fires `cost` ticks after the last party
+     * arrives.
      */
-    void arrive(Event &resume, Tick base);
+    void arrive(Event &resume);
 
     /** Number of completed barrier episodes. */
     std::uint64_t episodes() const { return episodes_; }
@@ -74,8 +74,8 @@ struct ProcStats
     Tick requestWait = 0; //!< stall on remote coherence transactions
     Tick memWait = 0;     //!< all memory stall (incl. local)
     Tick finishTick = 0;  //!< completion time
-    std::uint64_t ops = 0; //!< compiled ops executed (fused computes
-                           //!< count once)
+    std::uint64_t ops = 0; //!< compiled ops executed (merged
+                           //!< computes count once)
 };
 
 /**
@@ -90,16 +90,10 @@ struct ProcStats
  * the cache plus the issue tick), so a memory operation is issued and
  * completed without allocating or copying a callback.
  *
- * step() executes a *fused run* of local operations per invocation:
- * compute delays and (hit-eligible) cache hits advance a virtual time
- * ahead of the clock for as long as the event queue guarantees no
- * other event can fire first (EventQueue::nextTick(), strictly),
- * so a run of local ops costs one event dispatch instead of one per
- * op. The guard makes the fusion exact: any event at or before the
- * virtual time -- an invalidation killing a "hit", a message whose
- * jitter draw must stay ordered -- breaks the run, and the processor
- * falls back to scheduling its resume on the clock, which is the
- * pre-fusion behaviour tick for tick.
+ * step() executes one op per dispatch at the current tick: a compute
+ * delay or a cache hit schedules the step event at its completion,
+ * a miss waits for the cache's completion, and a barrier parks the
+ * step event until the release.
  */
 class Processor
 {
@@ -160,7 +154,7 @@ class Processor
     {
         explicit StepEvent(Processor *p) : proc(p) {}
 
-        void process() override { proc->step(proc->clockTick()); }
+        void process() override { proc->step(); }
 
         Processor *proc;
     };
@@ -177,24 +171,21 @@ class Processor
         {}
 
         static void
-        fired(MemCompletion &self, bool remote, Tick base)
+        fired(MemCompletion &self, bool remote)
         {
             auto &r = static_cast<AccessRecord &>(self);
-            r.proc->accessDone(r, remote, base);
+            r.proc->accessDone(r, remote);
         }
 
         Processor *proc;
         Tick issued = 0;
     };
 
-    /** Execute a fused run of ops as of tick @p now >= curTick(). */
-    void step(Tick now);
+    /** Execute the next op at the current tick. */
+    void step();
 
-    /** The cache completed the outstanding access as of @p base. */
-    void accessDone(AccessRecord &r, bool remote, Tick base);
-
-    /** The event queue's clock (StepEvent dispatch anchor). */
-    Tick clockTick() const { return eq_.curTick(); }
+    /** The cache completed the outstanding access. */
+    void accessDone(AccessRecord &r, bool remote);
 
     NodeId id_;
     EventQueue &eq_;

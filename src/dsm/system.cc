@@ -170,7 +170,7 @@ DsmSystem::run(const CompiledWorkload &w)
             obsMgr_ ? ", instrumented" : "");
     const bool drained = eq_.run(cfg_.tickLimit);
     verbose("run ", drained ? "drained" : "hit the tick limit",
-            " at tick ", eq_.endTick(), ", ", net_->messagesSent(),
+            " at tick ", eq_.curTick(), ", ", net_->messagesSent(),
             " messages, ", eq_.executed(), " events");
 
     RunResult r;
@@ -195,7 +195,7 @@ DsmSystem::run(const CompiledWorkload &w)
             break;
         }
     }
-    r.execTicks = eq_.endTick();
+    r.execTicks = eq_.curTick();
     r.barrierEpisodes = barrier_->episodes();
     r.messages = net_->messagesSent();
     // Both counters are queue/network lifetime totals, so the ratio

@@ -97,21 +97,11 @@ ObsManager::emitPrefix()
 }
 
 void
-ObsManager::msgSent(const CohMsg &msg, Tick sendTick, Tick orderKey)
+ObsManager::msgSent(const CohMsg &msg, Tick sentAt)
 {
     if (!out_)
         return;
-    auto &q = pend_[std::size_t{msg.src} * numNodes_ + msg.dst];
-    // Keep the pair's queue in delivery order: non-decreasing
-    // orderKey, stable on ties. Remote arrivals are strictly monotone
-    // per pair (pure append); a node-local send from an on-the-clock
-    // sender can slip under locals queued by a fused sender running
-    // ahead of it, so the insert scans back exactly like the
-    // network's own sorted local queue.
-    auto it = q.end();
-    while (it != q.begin() && orderKey < (it - 1)->orderKey)
-        --it;
-    q.insert(it, PendingSend{sendTick, orderKey});
+    pend_[std::size_t{msg.src} * numNodes_ + msg.dst].push_back(sentAt);
 }
 
 void
@@ -122,9 +112,9 @@ ObsManager::msgDelivered(const CohMsg &msg, Tick base)
     auto &q = pend_[std::size_t{msg.src} * numNodes_ + msg.dst];
     if (q.empty())
         return; // foreign send path (raw test sinks); nothing to pair
-    const PendingSend p = q.front();
+    const Tick sentAt = q.front();
     q.pop_front();
-    if (!inWindow(p.sendTick, base))
+    if (!inWindow(sentAt, base))
         return;
     const std::uint64_t id = nextFlowId_++;
     const char *name = msgTypeName(msg.type);
@@ -133,7 +123,7 @@ ObsManager::msgDelivered(const CohMsg &msg, Tick base)
                  "{\"name\":\"%s\",\"cat\":\"msg\",\"ph\":\"s\","
                  "\"id\":%llu,\"ts\":%llu,\"pid\":0,\"tid\":%u,"
                  "\"args\":{\"blk\":%llu}}",
-                 name, ull(id), ull(p.sendTick), unsigned(msg.src),
+                 name, ull(id), ull(sentAt), unsigned(msg.src),
                  ull(msg.blk));
     emitPrefix();
     std::fprintf(out_,

@@ -125,13 +125,11 @@ class ObsManager
      * A message was handed to the transport and *will* be delivered
      * (the network calls this after any loss-rule drop, so dropped
      * transmissions never enter the matcher; a retransmit re-enters
-     * as a fresh send). @p orderKey is the per-(src,dst) delivery
-     * ordering key: the clamped arrival tick for remote messages
-     * (strictly monotone per pair), the local due tick for node-local
-     * ones (which may slip under fused-ahead entries, mirroring the
-     * network's own sorted local queue).
+     * as a fresh send). Every (src,dst) pair delivers in send order:
+     * remote arrivals are clamped monotone per pair, and node-local
+     * messages are all due one bus cycle after their send.
      */
-    void msgSent(const CohMsg &msg, Tick sendTick, Tick orderKey);
+    void msgSent(const CohMsg &msg, Tick sentAt);
 
     /**
      * A message reached the delivery funnel (before any fault
@@ -187,13 +185,6 @@ class ObsManager
         ObsManager *mgr;
     };
 
-    /** A sent-but-not-yet-delivered message awaiting its flow pair. */
-    struct PendingSend
-    {
-        Tick sendTick;
-        Tick orderKey;
-    };
-
     void sampleFired();
     void takeSample();
 
@@ -224,8 +215,8 @@ class ObsManager
     std::FILE *out_ = nullptr; //!< trace sink; null = tracing off
     bool first_ = true;        //!< no event emitted yet (JSON commas)
     std::uint64_t nextFlowId_ = 0;
-    //! Per-(src,dst) pending sends in delivery order.
-    std::vector<std::deque<PendingSend>> pend_;
+    //! Per-(src,dst) send ticks of messages not yet delivered.
+    std::vector<std::deque<Tick>> pend_;
 
     SampleEvent sampleEvent_{this};
     std::vector<IntervalSample> series_;

@@ -1,28 +1,13 @@
 #include "workload/compiled_trace.hh"
 
-#include "base/flat_map.hh"
 #include "base/logging.hh"
 
 namespace mspdsm
 {
 
-namespace
-{
-
-/** Per-block compile-time access history: bit 0 read-or-written,
- * bit 1 written. Drives the hit-eligibility annotation. */
-constexpr std::uint8_t seenBit = 1;
-constexpr std::uint8_t wroteBit = 2;
-
-/**
- * compileTrace() with a caller-owned history table, so a workload
- * compile reuses one allocation across all of its traces (clear()
- * keeps capacity) instead of building a fresh table per trace.
- */
 std::size_t
-compileTraceWith(const Trace &t, const AddrMap &map,
-                 std::vector<CompiledOp> &out,
-                 FlatMap<BlockId, std::uint8_t> &history)
+compileTrace(const Trace &t, const AddrMap &map,
+             std::vector<CompiledOp> &out)
 {
     const std::size_t start = out.size();
     out.reserve(start + t.size());
@@ -33,7 +18,7 @@ compileTraceWith(const Trace &t, const AddrMap &map,
             if (op.cycles == 0)
                 break; // timing no-op; drop it
             // Validate the operand before any fusion arithmetic:
-            // with both addends capped at payloadMax (2^61-1) the
+            // with both addends capped at payloadMax (2^62-1) the
             // uint64 sum below cannot wrap, so the fused check is
             // exact.
             panic_if(op.cycles > CompiledOp::payloadMax,
@@ -59,16 +44,7 @@ compileTraceWith(const Trace &t, const AddrMap &map,
             const BlockId blk = map.blockOf(op.addr);
             panic_if(blk > CompiledOp::payloadMax,
                      "block id overflows the packed op");
-            const bool write = op.kind == OpKind::Write;
-            std::uint8_t &h = history[blk];
-            // A read can be served locally once the block has been
-            // touched at all (a demand fill, or a speculative push --
-            // which only ever targets past readers); a write only
-            // ever hits on a Modified copy, which requires an earlier
-            // write by this processor.
-            const bool hint = write ? (h & wroteBit) : (h & seenBit);
-            h |= write ? (seenBit | wroteBit) : seenBit;
-            out.push_back(CompiledOp::make(op.kind, blk, hint));
+            out.push_back(CompiledOp::make(op.kind, blk));
             break;
           }
           case OpKind::Barrier:
@@ -77,16 +53,6 @@ compileTraceWith(const Trace &t, const AddrMap &map,
         }
     }
     return out.size() - start;
-}
-
-} // namespace
-
-std::size_t
-compileTrace(const Trace &t, const AddrMap &map,
-             std::vector<CompiledOp> &out)
-{
-    FlatMap<BlockId, std::uint8_t> history;
-    return compileTraceWith(t, map, out, history);
 }
 
 CompiledWorkload::CompiledWorkload(const Workload &w, const AddrMap &map)
@@ -106,12 +72,10 @@ CompiledWorkload::CompiledWorkload(const std::vector<Trace> &traces,
     sourceOps_ = total;
     arena_.reserve(total);
     spans_.reserve(traces.size());
-    FlatMap<BlockId, std::uint8_t> history;
     for (const Trace &t : traces) {
         Span s;
         s.offset = arena_.size();
-        history.clear(); // hit hints are per-trace
-        s.count = compileTraceWith(t, map, arena_, history);
+        s.count = compileTrace(t, map, arena_);
         spans_.push_back(s);
     }
 }

@@ -279,6 +279,39 @@ TEST(Fault, RestartInsideTheRehomeWindow)
     expectIdentical(r, again);
 }
 
+TEST(Fault, FailBackInstallsNoStaleMirrorOwner)
+{
+    // Regression: a kill pruned the victim from every live directory
+    // but not from the replicated shard mirrors, so fail-back
+    // (rehome(v, v), with v no longer screened as dead) installed
+    // mirror entries naming the restarted victim as Excl owner of
+    // blocks its cold cache no longer held. The next SWI recall to it
+    // panicked with "Recall for a block not owned". This is the
+    // benchmark's faulted mesh configuration (em3d at full scale on a
+    // 20-cycle mesh, SWI, replicated shards, warm restart, two lossy
+    // links), which hit the panic on every seed tried.
+    constexpr Tick killTick = 1100000;
+    constexpr Tick restartTick = 1800000;
+    ExperimentConfig ec;
+    ec.scale = 1.0;
+    ec.iterations = 50;
+    ec.topo.kind = TopoKind::Mesh2D;
+    ec.topo.linkLatency = 20;
+    ec.failNode = 3;
+    ec.failTick = killTick;
+    ec.recoverTick = restartTick;
+    ec.warmRestart = true;
+    ec.ckptInterval = killTick / 4;
+    ec.replicateShards = true;
+    ec.linkLoss = {{0, maxTick, 0, 7},
+                   {killTick / 2, restartTick + killTick, 5, 5}};
+    const RunResult r = runSpec("em3d", SpecMode::SwiFirstRead, ec);
+    EXPECT_EQ(r.status, RunStatus::Completed);
+    EXPECT_EQ(r.fault.failbacks, 1u);
+    EXPECT_GE(r.fault.recoveredTick, restartTick);
+    EXPECT_GT(r.swiSent, 0u);
+}
+
 TEST(Fault, LossyLinksRetransmitDeterministically)
 {
     // A loss-only plan (no kills): every third head crossing link 0

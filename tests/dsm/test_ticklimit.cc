@@ -67,10 +67,11 @@ TEST(TickLimit, ResumedRunRereadsTheCompiledArena)
     // Regression: run(traces) used to compile into a call-local
     // CompiledWorkload, so a guard trip left the resumable step
     // events holding spans into a freed arena. An all-compute trace
-    // hides that (it fuses to one op, already consumed when the guard
-    // trips); memory ops break fusion, so this trace still has
-    // unexecuted compiled ops at the trip and the resumed steps must
-    // re-read the arena -- which now lives on the system.
+    // hides that (it compiles to one merged op, already consumed when
+    // the guard trips); interleaved memory ops keep the computes
+    // apart, so this trace still has unexecuted compiled ops at the
+    // trip and the resumed steps must re-read the arena -- which now
+    // lives on the system.
     DsmConfig cfg = smallConfig();
     cfg.tickLimit = 500;
     DsmSystem sys(cfg);
@@ -85,14 +86,11 @@ TEST(TickLimit, ResumedRunRereadsTheCompiledArena)
     EXPECT_GT(sys.eventQueue().curTick(), Tick{500});
 }
 
-TEST(TickLimit, FusedRunsHonourTheGuard)
+TEST(TickLimit, LoneProcessorHonoursTheGuard)
 {
-    // Regression: the processor's fused fast path executes ahead of
-    // the clock, and against an otherwise empty queue its horizon
-    // guard is vacuous -- the only remaining backstop is the run
-    // limit itself. The last processor to start (everyone else has
-    // an empty trace) must still trip the guard, not fuse straight
-    // through it and report Completed.
+    // One processor running against an otherwise empty queue (everyone
+    // else has an empty trace) must still trip the guard and report
+    // the tick limit, not Completed.
     DsmConfig cfg = smallConfig();
     cfg.tickLimit = 500;
     DsmSystem sys(cfg);
@@ -109,8 +107,10 @@ TEST(TickLimit, EventsExactlyAtLimitExecute)
     // runs; only strictly later events trip the guard.
     EventQueue eq;
     bool at = false, past = false;
-    eq.schedule(50, [&] { at = true; });
-    eq.schedule(51, [&] { past = true; });
+    test::CallEvent atEv([&] { at = true; });
+    test::CallEvent pastEv([&] { past = true; });
+    eq.schedule(50, atEv);
+    eq.schedule(51, pastEv);
     EXPECT_FALSE(eq.run(50));
     EXPECT_TRUE(at);
     EXPECT_FALSE(past);

@@ -5,8 +5,31 @@
 #include <vector>
 
 #include "sim/eventq.hh"
+#include "testutil.hh"
 
 using namespace mspdsm;
+using test::CallEvent;
+
+namespace
+{
+
+/** Records its id into a shared order log when fired. */
+struct LogEvent final : Event
+{
+    LogEvent(std::vector<int> &l, int i) : log(&l), id(i) {}
+
+    void process() override { log->push_back(id); }
+
+    std::vector<int> *log;
+    int id;
+};
+
+struct Noop final : Event
+{
+    void process() override {}
+};
+
+} // namespace
 
 TEST(EventQueue, StartsAtTickZeroEmpty)
 {
@@ -20,9 +43,10 @@ TEST(EventQueue, ExecutesInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    LogEvent a(order, 3), b(order, 1), c(order, 2);
+    eq.schedule(30, a);
+    eq.schedule(10, b);
+    eq.schedule(20, c);
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 30u);
@@ -32,20 +56,24 @@ TEST(EventQueue, TiesBreakByInsertionOrder)
 {
     EventQueue eq;
     std::vector<int> order;
+    std::vector<LogEvent> evs;
+    evs.reserve(5);
     for (int i = 0; i < 5; ++i)
-        eq.schedule(7, [&order, i] { order.push_back(i); });
+        eq.schedule(7, evs.emplace_back(order, i));
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CallbackMaySchedule)
+TEST(EventQueue, HandlerMaySchedule)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(1, [&] {
+    CallEvent inner([&] { ++fired; });
+    CallEvent outer([&] {
         ++fired;
-        eq.schedule(5, [&] { ++fired; });
+        eq.schedule(5, inner);
     });
+    eq.schedule(1, outer);
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(eq.curTick(), 5u);
@@ -55,9 +83,9 @@ TEST(EventQueue, ScheduleAfterIsRelative)
 {
     EventQueue eq;
     Tick seen = 0;
-    eq.schedule(10, [&] {
-        eq.scheduleAfter(7, [&] { seen = eq.curTick(); });
-    });
+    CallEvent inner([&] { seen = eq.curTick(); });
+    CallEvent outer([&] { eq.scheduleAfter(7, inner); });
+    eq.schedule(10, outer);
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(seen, 17u);
 }
@@ -66,8 +94,10 @@ TEST(EventQueue, RunHonoursLimit)
 {
     EventQueue eq;
     bool late = false;
-    eq.schedule(5, [] {});
-    eq.schedule(100, [&] { late = true; });
+    Noop early;
+    CallEvent lateEv([&] { late = true; });
+    eq.schedule(5, early);
+    eq.schedule(100, lateEv);
     EXPECT_FALSE(eq.run(50));
     EXPECT_FALSE(late);
     EXPECT_EQ(eq.pending(), 1u);
@@ -79,31 +109,46 @@ TEST(EventQueue, RunHonoursLimit)
 TEST(EventQueue, CountsExecutedEvents)
 {
     EventQueue eq;
+    Noop evs[10];
     for (int i = 0; i < 10; ++i)
-        eq.schedule(i, [] {});
+        eq.schedule(i, evs[i]);
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(eq.executed(), 10u);
 }
 
 TEST(EventQueue, ZeroDelaySelfScheduleChain)
 {
-    EventQueue eq;
-    int depth = 0;
-    std::function<void()> chain = [&] {
-        if (++depth < 1000)
-            eq.scheduleAfter(0, chain);
+    // An event rescheduling itself from its own handler: the pattern
+    // every component's step/drain/flush event follows.
+    struct Chain final : Event
+    {
+        void
+        process() override
+        {
+            if (++depth < 1000)
+                eq->scheduleAfter(0, *this);
+        }
+
+        EventQueue *eq = nullptr;
+        int depth = 0;
     };
+
+    EventQueue eq;
+    Chain chain;
+    chain.eq = &eq;
     eq.schedule(0, chain);
     EXPECT_TRUE(eq.run());
-    EXPECT_EQ(depth, 1000);
+    EXPECT_EQ(chain.depth, 1000);
     EXPECT_EQ(eq.curTick(), 0u);
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 {
     EventQueue eq;
-    eq.schedule(100, [&] {
-        eq.schedule(50, [] {}); // in the past relative to tick 100
+    Noop past;
+    CallEvent ev([&] {
+        eq.schedule(50, past); // in the past relative to tick 100
     });
+    eq.schedule(100, ev);
     EXPECT_DEATH(eq.run(), "past");
 }

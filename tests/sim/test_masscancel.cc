@@ -1,9 +1,8 @@
 /** @file Mass-cancellation stress tests for the event queue: the
  * fault layer's failover sweep deschedules whole pools of events at
  * once (EventPool::forEach + deschedule), and every queue query --
- * nextTick(), pending(), canFuseBefore() -- must stay *exact*
- * afterwards, across all three queue levels and regardless of what
- * the min-tick memo held before the sweep.
+ * nextTick(), pending() -- must stay *exact* afterwards, across all
+ * three queue levels.
  */
 
 #include <gtest/gtest.h>
@@ -33,14 +32,14 @@ struct Probe final : public Event
 
 TEST(MassCancel, NextTickExactAfterCancellingTheMinimum)
 {
-    // The memoized minimum is the cancelled event: nextTick() must
-    // recompute, not serve the stale hint.
+    // The peeked minimum is the cancelled event: nextTick() must
+    // report the next one, not a stale answer.
     EventQueue eq;
     Probe a, b, c;
     eq.schedule(10, a);
     eq.schedule(500, b);
     eq.schedule(900, c);
-    EXPECT_EQ(eq.nextTick(), 10u); // memoize the minimum
+    EXPECT_EQ(eq.nextTick(), 10u);
     EXPECT_TRUE(eq.deschedule(a));
     EXPECT_EQ(eq.nextTick(), 500u);
     EXPECT_TRUE(eq.deschedule(b));
@@ -171,48 +170,6 @@ TEST(MassCancel, NextTickExactAfterSweepInsideProcess)
         EXPECT_EQ(v.fired, 0);
     EXPECT_EQ(survivor.fired, 1);
     EXPECT_EQ(eq.curTick(), 400u * giga + 13u);
-}
-
-TEST(MassCancel, CanFuseBeforeStaysExactAfterCancel)
-{
-    // canFuseBefore must never say "yes" with an event still pending
-    // at or before the probe tick, and must recover the "yes" answer
-    // once that event is cancelled (after a nextTick() revalidation:
-    // the guard itself is allowed to decline while cold).
-    EventQueue eq;
-    Probe a, b;
-    eq.schedule(100, a);
-    eq.schedule(5000, b);
-    EXPECT_EQ(eq.nextTick(), 100u);
-    EXPECT_FALSE(eq.canFuseBefore(100));
-    EXPECT_FALSE(eq.canFuseBefore(2000));
-    EXPECT_TRUE(eq.canFuseBefore(99));
-
-    EXPECT_TRUE(eq.deschedule(a));
-    EXPECT_EQ(eq.nextTick(), 5000u); // revalidate the memo
-    EXPECT_TRUE(eq.canFuseBefore(2000));
-    EXPECT_FALSE(eq.canFuseBefore(5000));
-}
-
-TEST(MassCancel, FaultHorizonCapsFusionRegardlessOfQueueState)
-{
-    // The fault layer's hard guarantee: no fused work at or past the
-    // next scheduled fault tick, even on an otherwise empty queue
-    // whose memo would happily say yes.
-    EventQueue eq;
-    EXPECT_EQ(eq.faultHorizon(), maxTick);
-    eq.setFaultHorizon(1000);
-    EXPECT_FALSE(eq.canFuseBefore(1000));
-    EXPECT_FALSE(eq.canFuseBefore(maxTick));
-    Probe a;
-    eq.schedule(600, a);
-    EXPECT_EQ(eq.nextTick(), 600u);
-    EXPECT_TRUE(eq.canFuseBefore(599)); // below both horizon and min
-    EXPECT_FALSE(eq.canFuseBefore(600));
-    eq.setFaultHorizon(maxTick);
-    EXPECT_TRUE(eq.deschedule(a));
-    EXPECT_EQ(eq.nextTick(), maxTick);
-    EXPECT_TRUE(eq.canFuseBefore(1000)); // horizon lifted
 }
 
 namespace

@@ -1,11 +1,8 @@
 /** @file Unit tests for EventQueue::nextTick() (peek without pop).
  *
- * The peek is the safety guard of the processor's fused-run fast
- * path: executing trace operations ahead of the clock is only legal
- * while no other event can fire first, so the peek must be exact in
- * every queue state -- empty, near wheel, far wheel, overflow heap,
- * and (the subtle one) from inside a handler while same-tick events
- * are still pending.
+ * The peek must be exact in every queue state -- empty, near wheel,
+ * far wheel, overflow heap, and (the subtle one) from inside a
+ * handler while same-tick events are still pending.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +10,20 @@
 #include <vector>
 
 #include "sim/eventq.hh"
+#include "testutil.hh"
 
 using namespace mspdsm;
+using test::CallEvent;
+
+namespace
+{
+
+struct Noop final : Event
+{
+    void process() override {}
+};
+
+} // namespace
 
 TEST(NextTick, EmptyQueueReportsMaxTick)
 {
@@ -26,8 +35,10 @@ TEST(NextTick, ReportsEarliestWithoutPopping)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(30, [&] { ++fired; });
-    eq.schedule(10, [&] { ++fired; });
+    const auto count = [&] { ++fired; };
+    CallEvent a(count), b(count);
+    eq.schedule(30, a);
+    eq.schedule(10, b);
     EXPECT_EQ(eq.nextTick(), 10u);
     EXPECT_EQ(eq.pending(), 2u);
     EXPECT_EQ(fired, 0); // peek must not execute anything
@@ -38,23 +49,29 @@ TEST(NextTick, ReportsEarliestWithoutPopping)
 TEST(NextTick, CoversFarWheelAndOverflowHeap)
 {
     // Far wheel: a few gigaticks out. Overflow heap: beyond ~1M.
+    Noop a, b, c;
     {
         EventQueue eq;
-        eq.schedule(Tick{50} << 12, [] {});
+        eq.schedule(Tick{50} << 12, a);
         EXPECT_EQ(eq.nextTick(), Tick{50} << 12);
+        eq.deschedule(a);
     }
     {
         EventQueue eq;
-        eq.schedule(Tick{1} << 40, [] {});
+        eq.schedule(Tick{1} << 40, a);
         EXPECT_EQ(eq.nextTick(), Tick{1} << 40);
+        eq.deschedule(a);
     }
     {
         // Both levels populated: the near one wins.
         EventQueue eq;
-        eq.schedule(Tick{1} << 40, [] {});
-        eq.schedule(Tick{50} << 12, [] {});
-        eq.schedule(77, [] {});
+        eq.schedule(Tick{1} << 40, a);
+        eq.schedule(Tick{50} << 12, b);
+        eq.schedule(77, c);
         EXPECT_EQ(eq.nextTick(), 77u);
+        eq.deschedule(a);
+        eq.deschedule(b);
+        eq.deschedule(c);
     }
 }
 
@@ -62,9 +79,11 @@ TEST(NextTick, SeesRemainingSameTickEventsFromInsideHandler)
 {
     EventQueue eq;
     std::vector<Tick> peeks;
-    eq.schedule(5, [&] { peeks.push_back(eq.nextTick()); });
-    eq.schedule(5, [&] { peeks.push_back(eq.nextTick()); });
-    eq.schedule(40, [&] { peeks.push_back(eq.nextTick()); });
+    const auto peek = [&] { peeks.push_back(eq.nextTick()); };
+    CallEvent a(peek), b(peek), c(peek);
+    eq.schedule(5, a);
+    eq.schedule(5, b);
+    eq.schedule(40, c);
     EXPECT_TRUE(eq.run());
     // First handler still has a tick-5 sibling pending; the second
     // sees only the tick-40 event; the last sees an empty queue.
@@ -75,11 +94,14 @@ TEST(NextTick, SameTickScheduleFromHandlerIsVisible)
 {
     EventQueue eq;
     std::vector<Tick> peeks;
-    eq.schedule(9, [&] {
-        eq.scheduleAfter(0, [&] { peeks.push_back(eq.nextTick()); });
+    CallEvent inner([&] { peeks.push_back(eq.nextTick()); });
+    CallEvent outer([&] {
+        eq.scheduleAfter(0, inner);
         peeks.push_back(eq.nextTick());
     });
-    eq.schedule(25, [] {});
+    Noop late;
+    eq.schedule(9, outer);
+    eq.schedule(25, late);
     EXPECT_TRUE(eq.run());
     // The outer handler's peek sees the same-tick event it just
     // scheduled; the inner one sees only the tick-25 event.
@@ -88,11 +110,7 @@ TEST(NextTick, SameTickScheduleFromHandlerIsVisible)
 
 TEST(NextTick, DescheduleUpdatesThePeek)
 {
-    struct Noop final : Event
-    {
-        void process() override {}
-    } a, b;
-
+    Noop a, b;
     EventQueue eq;
     eq.schedule(3, a);
     eq.schedule(8, b);

@@ -3,6 +3,7 @@
 #ifndef MSPDSM_TESTS_TESTUTIL_HH
 #define MSPDSM_TESTS_TESTUTIL_HH
 
+#include <utility>
 #include <vector>
 
 #include "dsm/system.hh"
@@ -10,6 +11,21 @@
 
 namespace mspdsm::test
 {
+
+/**
+ * An intrusive event that runs a callable: the pooled-component event
+ * pattern reduced to one object, for tests that need ad-hoc handlers.
+ * Like any Event it may be rescheduled once it has fired.
+ */
+template <typename F>
+struct CallEvent final : Event
+{
+    explicit CallEvent(F f) : fn(std::move(f)) {}
+
+    void process() override { fn(); }
+
+    F fn;
+};
 
 /** A default small config: 4 nodes unless overridden. */
 inline DsmConfig
