@@ -38,8 +38,8 @@ main(int argc, char **argv)
         mspdsm::bench::itemsPerSec(rs, "eventq/throughput");
     const double lookups =
         mspdsm::bench::itemsPerSec(rs, "pred/observe_mix");
-    // A ratio, not a rate, so it is stable across machines: the event
-    // floor per message the batched NI drain holds on dense em3d.
+    // A ratio, not a rate, so it is stable across machines: event
+    // dispatches per message on dense em3d.
     const double evpm = mspdsm::bench::simEventsPerMessage();
 
     return mspdsm::bench::writeMicroJson(

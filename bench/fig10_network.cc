@@ -129,10 +129,8 @@ main(int argc, char **argv)
                   // messages spent queued behind busy links (always 0
                   // on the crossbar, whose contention is NI-only).
                   Table::fmt(swi.linkQueueingCycles),
-                  // Event dispatches per message on the SWI run: how
-                  // close the batched NI drain holds the transport to
-                  // its one-event-per-delivery floor as the fabric
-                  // slows and contention grows.
+                  // Event dispatches per message on the SWI run
+                  // (sweep JSON: events_per_message).
                   Table::fmt(swi.eventsPerMessage(), 2),
                   // Demand-miss latency tail of the SWI run (always-on
                   // histograms): stretches with hop count and link

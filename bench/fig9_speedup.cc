@@ -65,8 +65,7 @@ main(int argc, char **argv)
                   Table::fmt(swi_total - req(swi), 1),
                   Table::fmt(req(swi), 1), Table::fmt(swi_total, 1),
                   // Event-kernel dispatches per message on the Base
-                  // run: the transport-efficiency floor the batched
-                  // NI drain tracks (sweep JSON: events_per_message).
+                  // run (sweep JSON: events_per_message).
                   Table::fmt(base.eventsPerMessage(), 2),
                   // Demand-miss latency tail (always-on histograms):
                   // speculation removes misses rather than shortening

@@ -203,11 +203,9 @@ netRoute()
 /**
  * Dense same-destination cross-traffic: fifteen sources hammer one
  * hot ingress NI on the default crossbar, so the whole run is one
- * long busy period at that node. This was the worst case for the
- * retired two-stage path (every message paid an arrival event plus a
- * delivery event); the per-destination drain batches all the arrival
- * bookkeeping into the delivery dispatches it queued behind. Items
- * are messages delivered.
+ * long busy period at that node, and every message books the NI
+ * behind a long backlog between its arrival and delivery events.
+ * Items are messages delivered.
  */
 [[gnu::flatten]] std::uint64_t
 netIngressBatch()

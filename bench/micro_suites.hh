@@ -43,10 +43,9 @@ double itemsPerSec(const std::vector<BenchResult> &rs,
 /**
  * Event-kernel dispatches per network message on the dense em3d
  * workload (one deterministic compiled run). The transport-efficiency
- * headline BENCH_core.json tracks: the retired two-stage NI path held
- * this at ~2.5; the batched event layer (per-destination drain,
- * local-delivery flush, per-home directory due-queues) brought it to
- * ~1.47, and check_bench_core.py fails any record above 1.6.
+ * headline BENCH_core.json tracks: every message and directory action
+ * is its own event, which puts it at exactly 2.5, and
+ * check_bench_core.py fails any record that differs.
  */
 double simEventsPerMessage();
 

@@ -31,6 +31,7 @@ SCHEMA = "mspdsm-bench-core-v1"
 REQUIRED_TOP = ["schema", "events_per_sec", "lookups_per_sec",
                 "sim_events_per_message", "peak_rss_bytes", "benches"]
 REQUIRED_BENCH = ["name", "items", "seconds", "items_per_sec"]
+EVENTS_PER_MESSAGE = 2.5
 
 # Benches every record must carry: dropping one silently would blind
 # the regression gate to that path. Extend when bench_core grows.
@@ -86,13 +87,15 @@ def validate(rec, path):
                         f"non-negative number: {v!r}")
     # The deterministic transport-efficiency headline: unlike the
     # throughput benches this ratio is machine-independent, so it is
-    # pinned absolutely. The batched event layer holds the dense em3d
-    # run at ~1.47 dispatches per message; anything above 1.6 means a
-    # per-message event population grew back.
+    # pinned exactly. The dense em3d run dispatches exactly 2.5 events
+    # per message (each remote message's arrival and delivery stages,
+    # each local delivery, each directory action, each processor
+    # step); any drift, up or down, means the dispatch count changed.
     evpm = rec.get("sim_events_per_message")
-    if isinstance(evpm, (int, float)) and evpm > 1.6:
-        errs.append(f"{path}: sim_events_per_message {evpm} exceeds "
-                    f"the 1.6 ceiling")
+    if isinstance(evpm, (int, float)) and \
+            abs(evpm - EVENTS_PER_MESSAGE) > 1e-9:
+        errs.append(f"{path}: sim_events_per_message {evpm} is not "
+                    f"the pinned {EVENTS_PER_MESSAGE}")
     benches = rec.get("benches")
     if not isinstance(benches, list) or not benches:
         errs.append(f"{path}: 'benches' is not a non-empty list")

@@ -87,55 +87,31 @@ Directory::specObserve(BlockId blk, SymKind kind, NodeId src)
 }
 
 void
-Directory::flushFired()
+Directory::eventFired(DirEvent &e)
 {
-    // Pop-and-dispatch every action due on this tick; (due, seq)
-    // order reproduces the schedule order the per-action pooled
-    // events fired in. Handlers may queue new actions mid-loop --
-    // those are due strictly later (every service latency is
-    // positive) and re-arm the flush themselves; the final arm below
-    // keeps the earliest. Copy-then-index: scheduleKind can insert
-    // into (and reallocate) the suffix under us.
-    const Tick now = eq_.curTick();
-    while (dueHead_ < dueQ_.size() && dueQ_[dueHead_].due <= now) {
-        const DueAction a = dueQ_[dueHead_];
-        ++dueHead_;
-        dispatch(a.kind, a.msg, now);
-    }
-    if (dueHead_ == dueQ_.size()) {
-        dueQ_.clear(); // keeps capacity
-        dueHead_ = 0;
-    } else {
-        if (dueHead_ >= 64) {
-            dueQ_.erase(dueQ_.begin(),
-                        dueQ_.begin() +
-                            static_cast<std::ptrdiff_t>(dueHead_));
-            dueHead_ = 0;
-        }
-        armFlush(dueQ_[dueHead_].due);
-    }
-}
+    // Copy out and recycle first: the handlers below schedule new
+    // actions and may reuse this slot.
+    const ActKind kind = e.kind;
+    const CohMsg msg = e.msg;
+    pool_.release(e);
 
-void
-Directory::dispatch(ActKind kind, const CohMsg &msg, Tick base)
-{
     switch (kind) {
       case ActKind::Send:
         net_.send(msg);
         return;
       case ActKind::ReadReply:
-        readReplyFired(msg.blk, msg.dst, base);
+        readReplyFired(msg.blk, msg.dst);
         return;
       case ActKind::Grant:
-        grantExcl(entry(msg.blk), msg.blk, base);
+        grantExcl(entry(msg.blk), msg.blk);
         return;
       case ActKind::WbGetS:
-        wbGetSFired(msg.blk, base);
+        wbGetSFired(msg.blk);
         return;
       case ActKind::SwiComplete: {
         const BlockId blk = msg.blk;
-        completeSwi(entry(blk), blk, base);
-        drain(blk, base);
+        completeSwi(entry(blk), blk);
+        drain(blk);
         return;
       }
     }
@@ -143,7 +119,7 @@ Directory::dispatch(ActKind kind, const CohMsg &msg, Tick base)
 }
 
 void
-Directory::readReplyFired(BlockId blk, NodeId reader, Tick base)
+Directory::readReplyFired(BlockId blk, NodeId reader)
 {
     Entry &e = entry(blk);
     --e.repliesInFlight;
@@ -155,14 +131,14 @@ Directory::readReplyFired(BlockId blk, NodeId reader, Tick base)
     reply.remoteWork = reader != id_;
     net_.send(reply);
     if (obs_) [[unlikely]]
-        obs_->dirInstant("read reply", id_, blk, base);
+        obs_->dirInstant("read reply", id_, blk, eq_.curTick());
     if (specEnabled())
-        frCheck(e, blk, reader, base);
-    drain(blk, base);
+        frCheck(e, blk, reader);
+    drain(blk);
 }
 
 void
-Directory::wbGetSFired(BlockId blk, Tick base)
+Directory::wbGetSFired(BlockId blk)
 {
     Entry &e = entry(blk);
     e.state = DirState::Shared;
@@ -176,14 +152,13 @@ Directory::wbGetSFired(BlockId blk, Tick base)
     reply.remoteWork = true;
     net_.send(reply);
     if (specEnabled())
-        frCheck(e, blk, e.curReq, base);
-    drain(blk, base);
+        frCheck(e, blk, e.curReq);
+    drain(blk);
 }
 
 void
 Directory::handle(const CohMsg &msg)
 {
-    const Tick base = eq_.curTick();
     panic_if(map_.homeOf(msg.blk) != id_,
              "message routed to wrong home: ", msg.toString());
     Entry &e = entry(msg.blk);
@@ -211,16 +186,16 @@ Directory::handle(const CohMsg &msg)
             cold(e).deferred.push_back(msg);
             return;
         }
-        processRequest(e, msg, base);
+        processRequest(e, msg);
         return;
       }
       case MsgType::InvAck:
         observe(msg);
-        onInvAck(e, msg, base);
+        onInvAck(e, msg);
         return;
       case MsgType::WriteBack:
         observe(msg);
-        onWriteBack(e, msg, base);
+        onWriteBack(e, msg);
         return;
       default:
         panic("directory received unexpected ", msg.toString());
@@ -228,22 +203,21 @@ Directory::handle(const CohMsg &msg)
 }
 
 void
-Directory::processRequest(Entry &e, const CohMsg &msg, Tick base)
+Directory::processRequest(Entry &e, const CohMsg &msg)
 {
     switch (msg.type) {
       case MsgType::GetS:
-        onGetS(e, msg, base);
+        onGetS(e, msg);
         return;
       case MsgType::GetX:
-        onWrite(e, msg, false, base);
+        onWrite(e, msg, false);
         return;
       case MsgType::Upgrade:
         // An upgrade whose copy was invalidated in flight is handled
         // as a full write request (the requester needs data again).
         onWrite(e, msg,
                 e.state == DirState::Shared &&
-                    e.sharers.contains(msg.src),
-                base);
+                    e.sharers.contains(msg.src));
         return;
       default:
         panic("processRequest on ", msg.toString());
@@ -251,7 +225,7 @@ Directory::processRequest(Entry &e, const CohMsg &msg, Tick base)
 }
 
 void
-Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
+Directory::onGetS(Entry &e, const CohMsg &msg)
 {
     const BlockId blk = msg.blk;
     const NodeId src = msg.src;
@@ -271,7 +245,7 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
         m.blk = blk;
         m.dst = src;
         scheduleKind(ActKind::ReadReply,
-                     base + cfg_.dirLookup + cfg_.memAccess, m);
+                     cfg_.dirLookup + cfg_.memAccess, m);
         return;
       }
       case DirState::Excl: {
@@ -286,7 +260,7 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
         recall.src = id_;
         recall.dst = e.owner;
         recall.blk = blk;
-        scheduleKind(ActKind::Send, base + cfg_.dirLookup, recall);
+        scheduleKind(ActKind::Send, cfg_.dirLookup, recall);
         return;
       }
       default:
@@ -295,8 +269,7 @@ Directory::onGetS(Entry &e, const CohMsg &msg, Tick base)
 }
 
 void
-Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
-                   Tick base)
+Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant)
 {
     const BlockId blk = msg.blk;
     const NodeId src = msg.src;
@@ -317,7 +290,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
         e.curUpgradeGrant = false;
         e.curRemote = src != id_;
         scheduleKind(ActKind::Grant,
-                     base + cfg_.dirLookup + cfg_.memAccess, blkMsg(blk));
+                     cfg_.dirLookup + cfg_.memAccess, blkMsg(blk));
         return;
       }
       case DirState::Shared: {
@@ -332,9 +305,9 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
             // Sole sharer upgrading, or stale sharer list: grant
             // directly (memory access only if data must be sent).
             e.state = DirState::BusyService;
-            const Tick fire = base + cfg_.dirLookup +
-                              (upgrade_grant ? 0 : cfg_.memAccess);
-            scheduleKind(ActKind::Grant, fire, blkMsg(blk));
+            const Tick delay = cfg_.dirLookup +
+                               (upgrade_grant ? 0 : cfg_.memAccess);
+            scheduleKind(ActKind::Grant, delay, blkMsg(blk));
             return;
         }
         e.state = DirState::BusyInval;
@@ -348,7 +321,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
             inv.src = id_;
             inv.dst = o;
             inv.blk = blk;
-            scheduleKind(ActKind::Send, base + cfg_.dirLookup, inv);
+            scheduleKind(ActKind::Send, cfg_.dirLookup, inv);
         }
         return;
       }
@@ -366,7 +339,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
         recall.src = id_;
         recall.dst = e.owner;
         recall.blk = blk;
-        scheduleKind(ActKind::Send, base + cfg_.dirLookup, recall);
+        scheduleKind(ActKind::Send, cfg_.dirLookup, recall);
         return;
       }
       default:
@@ -375,7 +348,7 @@ Directory::onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
 }
 
 void
-Directory::onInvAck(Entry &e, const CohMsg &msg, Tick base)
+Directory::onInvAck(Entry &e, const CohMsg &msg)
 {
     panic_if(e.state != DirState::BusyInval,
              "InvAck outside invalidation: ", msg.toString());
@@ -386,37 +359,35 @@ Directory::onInvAck(Entry &e, const CohMsg &msg, Tick base)
         e.cold->ackWait.remove(msg.src);
     if (--e.pendingAcks == 0) {
         e.state = DirState::BusyService;
-        scheduleKind(ActKind::Grant, base + cfg_.dirLookup,
-                     blkMsg(msg.blk));
+        scheduleKind(ActKind::Grant, cfg_.dirLookup, blkMsg(msg.blk));
     }
 }
 
 void
-Directory::onWriteBack(Entry &e, const CohMsg &msg, Tick base)
+Directory::onWriteBack(Entry &e, const CohMsg &msg)
 {
     panic_if(e.state != DirState::BusyRecall,
              "WriteBack outside recall: ", msg.toString());
-    absorbWriteBack(e, msg.blk, base);
+    absorbWriteBack(e, msg.blk);
 }
 
 void
-Directory::absorbWriteBack(Entry &e, BlockId blk, Tick base)
+Directory::absorbWriteBack(Entry &e, BlockId blk)
 {
     e.owner = invalidNode;
     e.state = DirState::BusyService;
 
     if (e.curIsSwi) {
-        scheduleKind(ActKind::SwiComplete, base + cfg_.memAccess,
-                     blkMsg(blk));
+        scheduleKind(ActKind::SwiComplete, cfg_.memAccess, blkMsg(blk));
         return;
     }
     scheduleKind(e.curType == MsgType::GetS ? ActKind::WbGetS
                                             : ActKind::Grant,
-                 base + cfg_.memAccess + cfg_.dirLookup, blkMsg(blk));
+                 cfg_.memAccess + cfg_.dirLookup, blkMsg(blk));
 }
 
 void
-Directory::grantExcl(Entry &e, BlockId blk, Tick base)
+Directory::grantExcl(Entry &e, BlockId blk)
 {
     const NodeId w = e.curReq;
     if (faults_ && (faults_->dead(w) ||
@@ -431,7 +402,7 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
         e.owner = invalidNode;
         e.sharers.clear();
         replicate(e, blk);
-        drain(blk, base);
+        drain(blk);
         return;
     }
     const bool upgrade = e.curUpgradeGrant;
@@ -452,14 +423,14 @@ Directory::grantExcl(Entry &e, BlockId blk, Tick base)
     reply.remoteWork = e.curRemote;
     net_.send(reply);
     if (obs_) [[unlikely]]
-        obs_->dirInstant("grant", id_, blk, base);
+        obs_->dirInstant("grant", id_, blk, eq_.curTick());
 
-    writeCompleted(blk, w, base);
-    drain(blk, base);
+    writeCompleted(blk, w);
+    drain(blk);
 }
 
 void
-Directory::drain(BlockId blk, Tick base)
+Directory::drain(BlockId blk)
 {
     // The entry reference must be re-fetched each iteration:
     // processing can insert new entries (never for this block, but
@@ -475,14 +446,14 @@ Directory::drain(BlockId blk, Tick base)
         }
         CohMsg m = c->deferred.front();
         c->deferred.pop_front();
-        processRequest(e, m, base);
+        processRequest(e, m);
     }
 }
 
 // --- Speculation -----------------------------------------------------
 
 void
-Directory::writeCompleted(BlockId blk, NodeId writer, Tick base)
+Directory::writeCompleted(BlockId blk, NodeId writer)
 {
     Entry &e = entry(blk);
 
@@ -515,11 +486,11 @@ Directory::writeCompleted(BlockId blk, NodeId writer, Tick base)
     if (!specEnabled() || mode_ != SpecMode::SwiFirstRead)
         return;
     if (auto prev = swiTable_.recordWrite(writer, blk))
-        trySwi(*prev, writer, base);
+        trySwi(*prev, writer);
 }
 
 void
-Directory::trySwi(BlockId blk, NodeId writer, Tick base)
+Directory::trySwi(BlockId blk, NodeId writer)
 {
     auto it = entries_.find(blk);
     if (it == entries_.end())
@@ -542,7 +513,7 @@ Directory::trySwi(BlockId blk, NodeId writer, Tick base)
     e.curReq = writer;
     ColdEntry &c = cold(e);
     c.swiExOwner = writer; // premature checks start at launch
-    c.swiLaunch = base;
+    c.swiLaunch = eq_.curTick();
     c.swiWriteKey = *wk;
     c.swiWriteKeyValid = true;
     c.swiVerdictPending = false;
@@ -555,20 +526,21 @@ Directory::trySwi(BlockId blk, NodeId writer, Tick base)
     recall.dst = writer;
     recall.blk = blk;
     recall.speculative = true;
-    scheduleKind(ActKind::Send, base + cfg_.dirLookup, recall);
+    scheduleKind(ActKind::Send, cfg_.dirLookup, recall);
 }
 
 void
-Directory::completeSwi(Entry &e, BlockId blk, Tick base)
+Directory::completeSwi(Entry &e, BlockId blk)
 {
     specStats_.swiCompleted.inc();
     e.curIsSwi = false;
     e.state = DirState::Idle;
     ColdEntry &c = cold(e);
     c.swiEpoch = true; // swiExOwner was set at launch
-    specStats_.swiLat.sample(base - c.swiLaunch);
+    const Tick now = eq_.curTick();
+    specStats_.swiLat.sample(now - c.swiLaunch);
     if (obs_) [[unlikely]]
-        obs_->swiSpan(id_, blk, c.swiLaunch, base);
+        obs_->swiSpan(id_, blk, c.swiLaunch, now);
     replicate(e, blk); // pushSpec refines this if readers exist
 
     // Trigger the predicted read sequence (Section 4.1): forward the
@@ -580,11 +552,11 @@ Directory::completeSwi(Entry &e, BlockId blk, Tick base)
     if (!key)
         return;
     e.state = DirState::Shared;
-    pushSpec(e, blk, *readers, SpecTrigger::Swi, *key, base);
+    pushSpec(e, blk, *readers, SpecTrigger::Swi, *key);
 }
 
 void
-Directory::frCheck(Entry &e, BlockId blk, NodeId reader, Tick base)
+Directory::frCheck(Entry &e, BlockId blk, NodeId reader)
 {
     if (coldView(e).phaseTriggered)
         return;
@@ -599,12 +571,12 @@ Directory::frCheck(Entry &e, BlockId blk, NodeId reader, Tick base)
     rest.remove(reader);
     if (rest.empty())
         return;
-    pushSpec(e, blk, rest, SpecTrigger::FirstRead, *key, base);
+    pushSpec(e, blk, rest, SpecTrigger::FirstRead, *key);
 }
 
 void
 Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
-                    SpecTrigger trig, const HistoryKey &key, Tick when)
+                    SpecTrigger trig, const HistoryKey &key)
 {
     if (faults_) {
         // Never speculate into a dead node: the push would be dropped
@@ -635,7 +607,7 @@ Directory::pushSpec(Entry &e, BlockId blk, NodeSet targets,
         push.dst = t;
         push.blk = blk;
         push.trigger = trig;
-        scheduleKind(ActKind::Send, when, push);
+        scheduleKind(ActKind::Send, 0, push);
     }
 }
 
@@ -789,32 +761,16 @@ Directory::releaseShard(NodeId home)
             c->swiVerdictPending = false;
         }
     }
-    // The shard's pending due-actions reference the state just
-    // dropped: cancel them, then re-arm the flush for whatever is
-    // left (the filtered queue is still due-sorted).
-    const auto first =
-        dueQ_.begin() + static_cast<std::ptrdiff_t>(dueHead_);
-    dueQ_.erase(std::remove_if(first, dueQ_.end(),
-                               [&](const DueAction &a) {
-                                   return map_.geometricHomeOf(
-                                              a.msg.blk) == home;
-                               }),
-                dueQ_.end());
-    if (flush_.scheduled())
-        eq_.deschedule(flush_);
-    if (dueQ_.size() > dueHead_)
-        armFlush(dueQ_[dueHead_].due);
+    // The shard's pending actions reference the state just dropped.
+    cancelActions([&](BlockId blk) {
+        return map_.geometricHomeOf(blk) == home;
+    });
 }
 
 void
 Directory::failover()
 {
-    // Cancel every pending directory action: the due-queue holds
-    // them all, behind the single flush event.
-    if (flush_.scheduled())
-        eq_.deschedule(flush_);
-    dueQ_.clear();
-    dueHead_ = 0;
+    cancelActions([](BlockId) { return true; });
     entries_.clear();
     memoEntry_ = nullptr;
     coldArena_ = ChunkedVector<ColdEntry>{};
@@ -836,7 +792,7 @@ Directory::adopt(BlockId blk, NodeId holder, bool modified)
 }
 
 void
-Directory::pruneDead(NodeId v, Tick base)
+Directory::pruneDead(NodeId v)
 {
     for (auto &kv : entries_) {
         const BlockId blk = kv.first;
@@ -865,7 +821,7 @@ Directory::pruneDead(NodeId v, Tick base)
             if (e.owner == v) {
                 // The recall (or its writeback) is lost with the
                 // node; absorb the writeback locally as of now.
-                absorbWriteBack(e, blk, base);
+                absorbWriteBack(e, blk);
             }
             break;
           case DirState::BusyInval: {
@@ -876,8 +832,7 @@ Directory::pruneDead(NodeId v, Tick base)
                 c->ackWait.remove(v);
                 if (--e.pendingAcks == 0) {
                     e.state = DirState::BusyService;
-                    scheduleKind(ActKind::Grant, base + cfg_.dirLookup,
-                                 blkMsg(blk));
+                    scheduleKind(ActKind::Grant, cfg_.dirLookup, blkMsg(blk));
                 }
             }
             break;

@@ -145,19 +145,19 @@ class Directory
     void adopt(BlockId blk, NodeId holder, bool modified);
 
     /**
-     * Surviving-directory sweep after node @p v fail-stops at
-     * @p base: drop @p v's deferred requests, prune it from sharer
+     * Surviving-directory sweep after node @p v fail-stops (now):
+     * drop @p v's deferred requests, prune it from sharer
      * sets and speculation targets, release blocks it owned, absorb
      * the writeback of a recall it can no longer answer, and stop
      * waiting for its invalidation acks (completing the write
      * transaction if it was the last one).
      */
-    void pruneDead(NodeId v, Tick base);
+    void pruneDead(NodeId v);
 
     /**
      * Fail-back: drop every entry of geometric shard @p home that
      * this directory was hosting as the interim backup, cancelling
-     * the shard's pending due-actions. In-flight transactions are
+     * the shard's pending actions. In-flight transactions are
      * aborted (counted as faultAborts); their requesters recover
      * through the bounded-retry FSM, which re-resolves the home to
      * the restarted victim.
@@ -263,41 +263,50 @@ class Directory
     };
 
     /**
-     * One deferred FSM action in this home's due-queue. The embedded
-     * CohMsg carries either the full message (Send) or just the
-     * block/requester fields the other kinds need. `seq` breaks
-     * same-tick ties in schedule order, which is exactly the
-     * event-queue FIFO the per-action pooled events gave.
+     * One pending directory action, pooled and reused so the protocol
+     * FSM schedules without allocating. The embedded CohMsg carries
+     * either the full message (Send) or just the block/requester
+     * fields the other kinds need.
      */
-    struct DueAction
+    struct DirEvent final : public Event
     {
-        Tick due;
-        std::uint64_t seq;
-        ActKind kind;
+        explicit DirEvent(Directory *d) : dir(d) {}
+
+        void process() override { dir->eventFired(*this); }
+
+        Directory *dir;
+        ActKind kind = ActKind::Send;
         CohMsg msg;
     };
 
-    /**
-     * The home's single flush event: fires at the earliest pending
-     * due tick and dispatches *every* action due at that tick in one
-     * dispatch -- a transaction's service completion, grant, and
-     * writeback absorption that land on the same tick no longer cost
-     * one event each. The ingress-drain trick, applied to the FSM.
-     */
-    struct FlushEvent final : public Event
+    /** Run a fired DirEvent's action and recycle it. */
+    void eventFired(DirEvent &e);
+
+    /** Schedule a pooled action of @p kind @p delay ticks from now. */
+    void
+    scheduleKind(ActKind kind, Tick delay, const CohMsg &msg)
     {
-        explicit FlushEvent(Directory *d) : dir(d) {}
+        DirEvent &e = pool_.acquire(this);
+        e.kind = kind;
+        e.msg = msg;
+        eq_.scheduleAfter(delay, e);
+    }
 
-        void process() override { dir->flushFired(); }
-
-        Directory *dir;
-    };
-
-    /** Dispatch every due action; re-arm at the next due tick. */
-    void flushFired();
-
-    /** Run one popped action with the clock at its due tick. */
-    void dispatch(ActKind kind, const CohMsg &msg, Tick base);
+    /**
+     * Deschedule and recycle every pending action whose block
+     * satisfies @p pred (the failover and fail-back sweeps).
+     */
+    template <typename Pred>
+    void
+    cancelActions(Pred &&pred)
+    {
+        pool_.forEach([&](DirEvent &ev) {
+            if (ev.scheduled() && pred(ev.msg.blk)) {
+                eq_.deschedule(ev);
+                pool_.release(ev);
+            }
+        });
+    }
 
     /**
      * Shard replication hook, called whenever a transaction leaves
@@ -307,46 +316,7 @@ class Directory
      */
     void replicate(Entry &e, BlockId blk);
 
-    /**
-     * Arm the flush event for @p t, keeping an already-armed earlier
-     * tick (the flush re-arms itself exactly when it fires early).
-     */
-    void
-    armFlush(Tick t)
-    {
-        if (flush_.scheduled()) {
-            if (flush_.when() <= t)
-                return;
-            eq_.deschedule(flush_);
-        }
-        eq_.schedule(t, flush_);
-    }
-
-    /** Queue a deferred action of @p kind at absolute tick @p when.
-     * The queue is a sorted vector (see dueQ_): the common push
-     * appends, and mixed service latencies that land out of order
-     * insert by a short scan from the back. Seq ties are impossible
-     * (dueSeq_ is unique and increasing) and equal dues sort the
-     * newcomer last, so scanning on strict due keeps FIFO order. */
-    void
-    scheduleKind(ActKind kind, Tick when, const CohMsg &msg)
-    {
-        const DueAction a{when, dueSeq_++, kind, msg};
-        if (dueQ_.size() > dueHead_ && when < dueQ_.back().due)
-            [[unlikely]] {
-            auto it = dueQ_.end();
-            const auto first = dueQ_.begin() +
-                               static_cast<std::ptrdiff_t>(dueHead_);
-            while (it != first && when < (it - 1)->due)
-                --it;
-            dueQ_.insert(it, a);
-        } else {
-            dueQ_.push_back(a);
-        }
-        armFlush(when);
-    }
-
-    /** A CohMsg carrying only the block id (due-queue payloads). */
+    /** A CohMsg carrying only the block id (action payloads). */
     static CohMsg
     blkMsg(BlockId blk)
     {
@@ -356,10 +326,10 @@ class Directory
     }
 
     /** GetS service finished: send the data, trigger speculation. */
-    void readReplyFired(BlockId blk, NodeId reader, Tick base);
+    void readReplyFired(BlockId blk, NodeId reader);
 
     /** Writeback for a demand GetS absorbed: share to the requester. */
-    void wbGetSFired(BlockId blk, Tick base);
+    void wbGetSFired(BlockId blk);
 
     /**
      * Find-or-create the block's entry, memoizing the most recent
@@ -448,28 +418,26 @@ class Directory
      */
     void specObserve(BlockId blk, SymKind kind, NodeId src);
 
-    // The protocol handlers below take the current tick (@p base) from
-    // their caller; all their timing -- service latencies, deferred
-    // sends -- is relative to it.
-    void processRequest(Entry &e, const CohMsg &msg, Tick base);
-    void onGetS(Entry &e, const CohMsg &msg, Tick base);
-    void onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant,
-                 Tick base);
-    void onInvAck(Entry &e, const CohMsg &msg, Tick base);
-    void onWriteBack(Entry &e, const CohMsg &msg, Tick base);
+    // The protocol handlers below time everything -- service
+    // latencies, deferred sends -- from the current tick.
+    void processRequest(Entry &e, const CohMsg &msg);
+    void onGetS(Entry &e, const CohMsg &msg);
+    void onWrite(Entry &e, const CohMsg &msg, bool upgrade_grant);
+    void onInvAck(Entry &e, const CohMsg &msg);
+    void onWriteBack(Entry &e, const CohMsg &msg);
 
     /**
      * The state machinery of onWriteBack, minus the arrival checks:
      * also invoked by pruneDead() to absorb, at kill time, the
      * writeback a dead owner can no longer send.
      */
-    void absorbWriteBack(Entry &e, BlockId blk, Tick base);
+    void absorbWriteBack(Entry &e, BlockId blk);
 
     /** Grant exclusive ownership at the end of a write transaction. */
-    void grantExcl(Entry &e, BlockId blk, Tick base);
+    void grantExcl(Entry &e, BlockId blk);
 
     /** Process deferred requests until busy again or empty. */
-    void drain(BlockId blk, Tick base);
+    void drain(BlockId blk);
 
     // --- Speculation (Section 4) -------------------------------------
 
@@ -477,21 +445,21 @@ class Directory
     bool specEnabled() const { return mode_ != SpecMode::None && vmsp_; }
 
     /** SWI bookkeeping when a write transaction completes. */
-    void writeCompleted(BlockId blk, NodeId writer, Tick base);
+    void writeCompleted(BlockId blk, NodeId writer);
 
     /** Attempt a speculative write invalidation of @p blk owned by
      * @p writer (called when the writer moves on to another block). */
-    void trySwi(BlockId blk, NodeId writer, Tick base);
+    void trySwi(BlockId blk, NodeId writer);
 
     /** SWI recall finished: push predicted readers, open the epoch. */
-    void completeSwi(Entry &e, BlockId blk, Tick base);
+    void completeSwi(Entry &e, BlockId blk);
 
     /** First-Read trigger after serving a read for @p reader. */
-    void frCheck(Entry &e, BlockId blk, NodeId reader, Tick base);
+    void frCheck(Entry &e, BlockId blk, NodeId reader);
 
-    /** Push speculative copies to @p targets, sent at tick @p when. */
+    /** Push speculative copies to @p targets, sent now. */
     void pushSpec(Entry &e, BlockId blk, NodeSet targets,
-                  SpecTrigger trig, const HistoryKey &key, Tick when);
+                  SpecTrigger trig, const HistoryKey &key);
 
     /** Premature-SWI detection at request arrival (Section 4.1). */
     void prematureCheck(const CohMsg &msg);
@@ -511,15 +479,7 @@ class Directory
     Vmsp *vmsp_;
     SpecMode mode_;
     SwiTable swiTable_;
-    /** Deferred actions sorted ascending by (due, seq) from
-     * dueHead_ on; [0, dueHead_) is the dispatched prefix, reclaimed
-     * when the queue drains empty (keeping capacity) or compacted
-     * once it outgrows a small bound -- the same consumed-prefix
-     * discipline as the network's local queue. */
-    std::vector<DueAction> dueQ_;
-    std::size_t dueHead_ = 0;  //!< first pending dueQ_ entry
-    std::uint64_t dueSeq_ = 0; //!< same-tick FIFO sequencer
-    FlushEvent flush_{this};
+    EventPool<DirEvent> pool_; //!< pending deferred actions
     FlatMap<BlockId, Entry> entries_;
     BlockId memoBlk_ = 0;
     Entry *memoEntry_ = nullptr;

@@ -235,7 +235,7 @@ FaultManager::killNode(NodeId v)
     for (std::size_t d = 0; d < dirs_.size(); ++d) {
         const NodeId dn = static_cast<NodeId>(d);
         if (dn != v && !dead(dn))
-            dirs_[d]->pruneDead(v, now);
+            dirs_[d]->pruneDead(v);
     }
     purgeMirrors(v);
 

@@ -146,9 +146,8 @@ struct RunResult
     std::uint64_t swiSuppressed = 0;
 
     std::uint64_t messages = 0; //!< total network messages
-    //! Event-kernel dispatches over the run: the transport-efficiency
-    //! denominator the batched NI drain attacks (dense runs used to
-    //! pay ~2.4 events per message; see docs/ARCHITECTURE.md).
+    //! Event-kernel dispatches over the run: the numerator of
+    //! eventsPerMessage(), the transport-efficiency ratio.
     std::uint64_t eventsDispatched = 0;
     std::uint64_t barrierEpisodes = 0;
 

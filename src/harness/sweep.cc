@@ -233,7 +233,7 @@ SweepRunner::writeJson(std::ostream &os, const std::string &tool)
            << ", \"exec_ticks\": " << res.execTicks
            << ", \"messages\": " << res.messages
            // Transport efficiency; additive mspdsm-sweep-v1 fields
-           // (the event floor the batched NI drain attacks).
+           // (event-kernel dispatches per network message).
            << ", \"events_dispatched\": " << res.eventsDispatched
            << ", \"events_per_message\": " << res.eventsPerMessage()
            << ", \"reads\": " << res.reads

@@ -19,14 +19,8 @@ Network::Network(EventQueue &eq, const ProtoConfig &cfg, Rng rng)
       egressFree_(cfg.numNodes, 0),
       ingressFree_(cfg.numNodes, 0),
       linkFree_(topo_.numLinks(), 0),
-      pairLast_(std::size_t{cfg.numNodes} * cfg.numNodes, 0),
-      ingress_(cfg.numNodes)
+      pairLast_(std::size_t{cfg.numNodes} * cfg.numNodes, 0)
 {
-    for (NodeId n = 0; n < cfg.numNodes; ++n) {
-        ingress_[n].drain.net = this;
-        ingress_[n].drain.node = n;
-    }
-    localFlush_.net = this;
 }
 
 void
@@ -42,16 +36,6 @@ Network::attach(NodeId n, RawDeliver fn, void *ctx)
     panic_if(n >= sinks_.size(), "attach: node ", n, " out of range");
     panic_if(!fn, "attach: null delivery hook for node ", n);
     sinks_[n] = Sink{nullptr, nullptr, fn, ctx};
-}
-
-void
-Network::ReadyRing::grow()
-{
-    std::vector<ReadyMsg> bigger(buf_.empty() ? 8 : buf_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i)
-        bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    buf_.swap(bigger);
-    head_ = 0;
 }
 
 void
@@ -144,10 +128,12 @@ Network::sendImpl(CohMsg msg, unsigned attempt)
     if (msg.src == msg.dst) {
         // Local traffic (processor to its own home directory and
         // back) crosses only the node's bus.
-        localQ_.push_back(LocalPending{now + 1, pushSeq_++, msg});
+        MsgEvent &e = pool_.acquire(this);
+        e.msg = msg;
+        e.arrived = true; // straight to delivery
         if (obs_) [[unlikely]]
             obs_->msgSent(msg, now);
-        armLocal(now + 1);
+        eq_.schedule(now + 1, e);
         return;
     }
 
@@ -206,13 +192,16 @@ Network::sendImpl(CohMsg msg, unsigned attempt)
         arrival = pairLast_[pair] + 1;
     pairLast_[pair] = arrival;
 
-    // Hand the message to the destination's ingress FIFO. Its drain
-    // event books the ingress NI in (arrival, push seq) order -- the
-    // exact firing order of the retired per-message arrival events --
-    // and delivers; no per-message event is scheduled at all.
+    // The ingress NI is booked at *arrival* (msgFired), so messages
+    // contend in arrival order. Reserving here, at send time, would
+    // force delivery in injection order and suppress exactly the
+    // re-ordering the predictors are sensitive to.
     if (obs_) [[unlikely]]
         obs_->msgSent(msg, now);
-    pushIngress(msg.dst, arrival, msg);
+    MsgEvent &e = pool_.acquire(this);
+    e.msg = msg;
+    e.arrived = false;
+    eq_.schedule(arrival, e);
 }
 
 void
@@ -305,167 +294,27 @@ Network::retransmitFired(RetransmitEvent &ev)
 }
 
 void
-Network::pushIngress(NodeId dst, Tick arrival, const CohMsg &msg)
+Network::msgFired(MsgEvent &e)
 {
-    NodeIngress &in = ingress_[dst];
-
-    if (in.slotValid && arrival < in.slotArrival) [[unlikely]] {
-        // Undercut: the optimistic reservation below went to the
-        // wrong message. Unwind it -- restore the NI horizon and the
-        // queueing cycles it booked, and put its message back among
-        // the unreserved arrivals under its original (arrival, seq)
-        // key -- then let the canonical path below re-order both
-        // messages. The slot is always the ready tail while valid
-        // (reserveHead retires it before stacking anything on top),
-        // so dropping the tail removes exactly the speculative entry.
-        ingressFree_[dst] = in.slotPrevFree;
-        queued_.dec(in.slotQueued);
-        in.pq.push_back(
-            Pending{in.slotArrival, in.slotSeq, in.ready.back().msg});
-        std::push_heap(in.pq.begin(), in.pq.end(), PendingLater{});
-        in.ready.popBack();
-        in.slotValid = false;
-    }
-
-    if (in.pq.empty() && !in.slotValid) {
-        // Optimistic single-slot reservation -- the dense-run common
-        // case (the overwhelming share of arrivals find their
-        // destination otherwise quiet). Reserve immediately, with no
-        // heap round trip: the reservation arithmetic depends only on
-        // per-destination order, so it is exact unless a later send
-        // undercuts this arrival -- and the rollback above restores
-        // state bit-for-bit, so being wrong costs an unwind instead
-        // of every push paying a heap round trip. Raw-sink
-        // destinations get the same treatment: the final reservation
-        // order is strict (arrival, seq) either way, so the
-        // cross-source jitter races tests drive through raw hooks are
-        // preserved.
-        const Tick occ = carriesData(msg.type) ? cfg_.niData
-                                               : cfg_.niControl;
-        in.slotValid = true;
-        in.slotArrival = arrival;
-        in.slotPrevFree = ingressFree_[dst];
-        in.slotQueued =
-            std::max(arrival, in.slotPrevFree) - arrival;
-        in.slotSeq = pushSeq_++;
-        in.ready.push(reserveIngress(dst, arrival, occ), msg);
-    } else {
-        in.pq.push_back(Pending{arrival, pushSeq_++, msg});
-        std::push_heap(in.pq.begin(), in.pq.end(), PendingLater{});
-    }
-
-    // Keep the node's next *delivery* visible: the head reserved
-    // delivery when one is in flight, else the pending head's
-    // projected delivery tick. Unreserved arrivals need no wake of
-    // their own -- reservation is deferred arithmetic that the
-    // delivery dispatch batches, and if a later send undercuts the
-    // head this very function re-publishes the earlier tick. Inside
-    // this destination's own drain loop nothing is armed: the loop
-    // re-arms the drain itself on exit. Otherwise the max() only
-    // matters after an external deschedule (the fault-suite
-    // scenario): this push heals it.
-    if (dst == draining_)
+    const Tick now = eq_.curTick();
+    if (!e.arrived) {
+        // Arrival at the destination's ingress NI: contend for it,
+        // then ride the same event to the delivery tick.
+        e.arrived = true;
+        const Tick occ = carriesData(e.msg.type) ? cfg_.niData
+                                                 : cfg_.niControl;
+        Tick &free = ingressFree_[e.msg.dst];
+        const Tick start = std::max(now, free);
+        queued_.inc(start - now);
+        free = start + occ;
+        eq_.schedule(free, e);
         return;
-    const Tick next = !in.ready.empty() ? in.ready.front().delivered
-                                        : projectedDelivery(dst, in);
-    armDrain(in, std::max(next, eq_.curTick()));
-}
-
-void
-Network::reserveHead(NodeId n, NodeIngress &in)
-{
-    // A canonical reservation stacking on top retires the optimistic
-    // slot. Every caller reaching here with a live slot has the
-    // pending head's arrival in the past (the drain's catch-up
-    // sweep), and pq arrivals never undercut a live slot (such a
-    // push unwinds it first), so the slot's own arrival is in the
-    // past too -- beyond any future send's reach.
-    in.slotValid = false;
-    const Pending &p = in.pq.front();
-    const Tick occ = carriesData(p.msg.type) ? cfg_.niData
-                                             : cfg_.niControl;
-    in.ready.push(reserveIngress(n, p.arrival, occ), p.msg);
-    std::pop_heap(in.pq.begin(), in.pq.end(), PendingLater{});
-    in.pq.pop_back();
-}
-
-void
-Network::drainFired(NodeId n)
-{
-    NodeIngress &in = ingress_[n];
-    const Tick now = eq_.curTick();
-    // The drain event is off the queue for the whole loop (it just
-    // fired), and pushIngress leaves it unarmed while draining_ names
-    // this node: re-arming it around every delivery would cost a
-    // schedule/deschedule pair per message.
-    draining_ = n;
-    for (;;) {
-        // Batched ingress reservation: book the NI for every arrival
-        // whose time has come, in (arrival, push seq) order. During a
-        // backlog this folds what used to be one arrival event per
-        // message into the delivery dispatch they queued behind.
-        while (!in.pq.empty() && in.pq.front().arrival <= now)
-            reserveHead(n, in);
-
-        if (in.ready.empty()) {
-            // Sleep straight to the pending head's projected delivery
-            // tick; pushIngress re-arms earlier if a later send
-            // undercuts the head. The projection sits past the head's
-            // arrival, hence past now -- no clamp needed.
-            if (!in.pq.empty())
-                armDrain(in, projectedDelivery(n, in));
-            break; // idle: the next push re-arms the drain
-        }
-
-        if (in.ready.front().delivered > now) {
-            armDrain(in, in.ready.front().delivered);
-            break;
-        }
-
-        // Deliver the head. Copy and pop first -- the handler may
-        // send to this very node.
-        const CohMsg msg = in.ready.front().msg;
-        in.ready.pop();
-        if (in.ready.empty())
-            in.slotValid = false; // the slot (ready tail) delivered
-        deliver(msg);
-        // Loop on: the handler may have queued more work for this
-        // node, and further due deliveries fold into this same
-        // dispatch instead of costing one each.
     }
-    draining_ = noNode;
-}
-
-void
-Network::localFlushFired()
-{
-    // Deliver everything due on this tick in (due, seq) order -- the
-    // same order the retired per-message events fired in for any one
-    // node's stream. Handlers may push new locals mid-loop; those are
-    // due next tick and never fold into this flush. Copy-then-index
-    // throughout: deliver() can push new locals, which may reallocate
-    // the queue under us.
-    const Tick now = eq_.curTick();
-    while (localHead_ < localQ_.size() && localQ_[localHead_].due <= now) {
-        const CohMsg msg = localQ_[localHead_].msg;
-        ++localHead_;
-        deliver(msg);
-    }
-    if (localHead_ == localQ_.size()) {
-        localQ_.clear(); // keeps capacity: steady state allocates nothing
-        localHead_ = 0;
-    } else {
-        if (localHead_ >= 64) {
-            // Backstop for a queue that never fully drains: slide
-            // the live suffix down so the flushed prefix cannot grow
-            // without bound.
-            localQ_.erase(localQ_.begin(),
-                          localQ_.begin() +
-                              static_cast<std::ptrdiff_t>(localHead_));
-            localHead_ = 0;
-        }
-        armLocal(localQ_[localHead_].due);
-    }
+    // Delivery. Copy the message and release the event first: the
+    // handler may send again and reuse this very slot.
+    const CohMsg msg = e.msg;
+    pool_.release(e);
+    deliver(msg);
 }
 
 } // namespace mspdsm

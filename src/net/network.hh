@@ -50,15 +50,12 @@ struct LinkLossRule;
  * The interconnect. Owns no protocol state; it only moves CohMsg
  * values between nodes with appropriate delays.
  *
- * Remote message motion is *drain-batched*: each destination keeps an
- * arrival-ordered FIFO of in-flight messages, and a single
- * self-rescheduling drain event per node books the ingress NI for
- * every message whose arrival has come and delivers the due one --
- * O(busy periods) event dispatches instead of the former O(messages)
- * arrival+delivery pair per message. The drain is always scheduled at
- * or before the node's next delivery (see docs/ARCHITECTURE.md,
- * "Batched NI drain"). Local (src == dst) messages share one
- * machine-wide flush event instead.
+ * Every message rides one pooled event in two stages (the paper's
+ * Section 6 NI model): at its arrival tick it books the destination's
+ * ingress NI -- so messages contend in arrival order -- and at its
+ * delivery tick, one NI occupancy later, it is handed to the sink.
+ * Local (src == dst) messages skip the NIs and deliver one bus cycle
+ * after the send.
  *
  * Delivery is statically dispatched: a node attaches its concrete
  * cache controller and home directory, and the network routes each
@@ -115,21 +112,6 @@ class Network
     void setFaults(FaultManager *f) { faults_ = f; }
 
     /**
-     * Node @p n's ingress drain event (tests). The fault suite pins
-     * that a failover-style mass cancel cannot strand this node's
-     * queued arrivals: the fault path never deschedules the drain,
-     * and even a forced deschedule is healed by the next send.
-     */
-    Event &drainEvent(NodeId n) { return ingress_[n].drain; }
-
-    /** In-flight remote messages bound for node @p n (tests). */
-    std::size_t
-    inFlightTo(NodeId n) const
-    {
-        return ingress_[n].pq.size() + ingress_[n].ready.size();
-    }
-
-    /**
      * Configure deterministic link loss plus the transport recovery
      * layer that makes it survivable (fault runs only; the rules come
      * from FaultPlan::linkLoss). Each rule drops every Nth message
@@ -176,229 +158,28 @@ class Network
     };
 
     /**
-     * One in-flight *local* message (src == dst): a single bus cycle
-     * straight to delivery, no NI involvement. All nodes' local
-     * traffic shares one due-ordered queue behind one flush event --
-     * handlers running on the same tick across the machine each put
-     * their loopback on the bus together, so flushing them in one
-     * dispatch replaces the densest per-message event population left
-     * after the ingress drain. Remote messages ride the
-     * per-destination drain instead.
+     * One in-flight message, pooled and reused so sends allocate
+     * nothing in steady state. A remote message fires first at its
+     * arrival tick, books the destination's ingress NI, and rides the
+     * same event on to its delivery tick; a local one is scheduled
+     * straight at its delivery tick with `arrived` already set.
      */
-    struct LocalPending
+    struct MsgEvent final : public Event
     {
-        Tick due;
-        std::uint64_t seq; //!< push order; breaks same-tick ties
+        explicit MsgEvent(Network *n) : net(n) {}
+
+        void process() override { net->msgFired(*this); }
+
+        Network *net;
         CohMsg msg;
+        bool arrived = false; //!< past the ingress-arrival stage
     };
 
-    /** The single machine-wide local-delivery flush event. */
-    struct LocalFlushEvent final : public Event
-    {
-        void process() override { net->localFlushFired(); }
-
-        Network *net = nullptr;
-    };
-
-    /** A remote message waiting for its ingress NI reservation. */
-    struct Pending
-    {
-        Tick arrival;
-        std::uint64_t seq; //!< global push order; breaks arrival ties
-        CohMsg msg;
-    };
-
-    /** Min-heap order for Pending: earliest (arrival, seq) on top --
-     * the same order the retired per-message arrival events fired in
-     * (event-queue per-tick FIFO == schedule == push order). */
-    struct PendingLater
-    {
-        bool
-        operator()(const Pending &a, const Pending &b) const
-        {
-            if (a.arrival != b.arrival)
-                return a.arrival > b.arrival;
-            return a.seq > b.seq;
-        }
-    };
-
-    /** A reserved message riding out its NI occupancy window. */
-    struct ReadyMsg
-    {
-        Tick delivered;
-        CohMsg msg;
-    };
-
-    /**
-     * FIFO of reserved messages: reservations happen in arrival
-     * order against a monotone ingressFree_, so delivery ticks are
-     * nondecreasing front to back. A ring over a power-of-two vector;
-     * it grows to the busy-period high-water mark once, then the
-     * steady-state path is allocation-free.
-     */
-    class ReadyRing
-    {
-      public:
-        bool empty() const { return count_ == 0; }
-        std::size_t size() const { return count_; }
-        const ReadyMsg &front() const { return buf_[head_]; }
-
-        const ReadyMsg &
-        back() const
-        {
-            return buf_[(head_ + count_ - 1) & (buf_.size() - 1)];
-        }
-
-        void
-        push(Tick delivered, const CohMsg &msg)
-        {
-            if (count_ == buf_.size()) [[unlikely]]
-                grow();
-            buf_[(head_ + count_) & (buf_.size() - 1)] =
-                ReadyMsg{delivered, msg};
-            ++count_;
-        }
-
-        void
-        pop()
-        {
-            head_ = (head_ + 1) & (buf_.size() - 1);
-            --count_;
-        }
-
-        /** Drop the tail (optimistic-slot rollback only). */
-        void popBack() { --count_; }
-
-      private:
-        void grow();
-
-        std::vector<ReadyMsg> buf_;
-        std::size_t head_ = 0;
-        std::size_t count_ = 0;
-    };
-
-    /** The per-destination self-rescheduling drain event. */
-    struct DrainEvent final : public Event
-    {
-        void process() override { net->drainFired(node); }
-
-        Network *net = nullptr;
-        NodeId node = 0;
-    };
-
-    /**
-     * One destination's ingress state: unreserved arrivals ordered by
-     * (arrival, push seq), reserved messages in delivery order, and
-     * the drain event that works both down. Invariant outside a drain
-     * dispatch: whenever either queue is non-empty, the drain is
-     * scheduled at or before the node's next delivery.
-     */
-    struct NodeIngress
-    {
-        std::vector<Pending> pq; //!< binary heap (PendingLater)
-        ReadyRing ready;
-        DrainEvent drain;
-        /**
-         * Single-slot optimistic reservation (see pushIngress). While
-         * set, the ready *tail* holds a reservation made before its
-         * arrival; a later send undercutting slotArrival unwinds it
-         * from these saved values. The slot retires --
-         * becomes indistinguishable from a canonical reservation --
-         * when a canonical reservation lands on top of it
-         * (reserveHead, which only happens once its arrival is in
-         * the past) or when it is popped for delivery.
-         */
-        bool slotValid = false;
-        Tick slotArrival = 0;  //!< the speculative entry's arrival
-        Tick slotPrevFree = 0; //!< ingressFree_ before it reserved
-        Tick slotQueued = 0;   //!< queueing cycles it booked
-        std::uint64_t slotSeq = 0; //!< its (arrival, seq) tie-break
-    };
-
-    /** Deliver every local message due this tick; re-arm at next. */
-    void localFlushFired();
-
-    /**
-     * Arm the local flush for @p t, keeping an already-armed earlier
-     * tick (same discipline as armDrain).
-     */
-    void
-    armLocal(Tick t)
-    {
-        if (localFlush_.scheduled()) {
-            if (localFlush_.when() <= t)
-                return;
-            eq_.deschedule(localFlush_);
-        }
-        eq_.schedule(t, localFlush_);
-    }
-
-    /** Enqueue a remote arrival and keep the drain invariant. */
-    void pushIngress(NodeId dst, Tick arrival, const CohMsg &msg);
-
-    /** The drain dispatch: batch reservations, deliver what is due. */
-    void drainFired(NodeId n);
-
-    /** Reserve the earliest pending arrival of @p in at node @p n. */
-    void reserveHead(NodeId n, NodeIngress &in);
-
-    /**
-     * The delivery tick the pending head *will* get when reserved,
-     * assuming no earlier arrival is pushed first: the same
-     * max(arrival, ingressFree) + occupancy arithmetic reserveHead
-     * performs, computed without committing it. Exact unless a later
-     * send undercuts the head's arrival -- and pushIngress re-arms
-     * the drain earlier whenever that happens, so the drain can
-     * sleep straight through to this tick instead of waking at the
-     * arrival first.
-     */
-    Tick
-    projectedDelivery(NodeId n, const NodeIngress &in) const
-    {
-        const Pending &p = in.pq.front();
-        const Tick occ = carriesData(p.msg.type) ? cfg_.niData
-                                                 : cfg_.niControl;
-        return std::max(p.arrival, ingressFree_[n]) + occ;
-    }
-
-    /**
-     * Schedule the drain at @p t, keeping an already-armed earlier
-     * tick (the drain never needs to fire later than any tick it is
-     * already set for -- a too-early wake re-arms itself exactly).
-     */
-    void
-    armDrain(NodeIngress &in, Tick t)
-    {
-        if (in.drain.scheduled()) {
-            if (in.drain.when() <= t)
-                return;
-            eq_.deschedule(in.drain);
-        }
-        eq_.schedule(t, in.drain);
-    }
+    /** Stage dispatch for a pooled MsgEvent. */
+    void msgFired(MsgEvent &e);
 
     /** Hand @p msg to its destination sink at the current tick. */
     void deliver(const CohMsg &msg);
-
-    /**
-     * Contend for the destination's ingress NI as of @p arrival:
-     * books the queueing delay and the occupancy window, and returns
-     * the delivery tick. Pure arithmetic on (arrival, occ) and the
-     * monotone ingressFree_ -- its result depends only on the
-     * per-destination reservation *order*, never on the wall tick it
-     * runs at, which is what lets the drain defer reservations and
-     * batch them (the timing-equivalence argument in
-     * docs/ARCHITECTURE.md).
-     */
-    Tick
-    reserveIngress(NodeId dst, Tick arrival, Tick occ)
-    {
-        const Tick start = std::max(arrival, ingressFree_[dst]);
-        queued_.inc(start - arrival);
-        const Tick delivered = start + occ;
-        ingressFree_[dst] = delivered;
-        return delivered;
-    }
 
     /**
      * One scheduled re-injection of a dropped transmission. Pooled
@@ -468,9 +249,6 @@ class Network
     /** Re-inject a dropped message from its source NI. */
     void retransmitFired(RetransmitEvent &ev);
 
-    /** Sentinel for draining_: no drain loop on the stack. */
-    static constexpr NodeId noNode = static_cast<NodeId>(~NodeId{0});
-
     EventQueue &eq_;
     const ProtoConfig &cfg_;
     Rng rng_;
@@ -481,24 +259,10 @@ class Network
     std::vector<Tick> ingressFree_; //!< next free tick per dest NI
     std::vector<Tick> linkFree_; //!< next free tick per fabric link
     std::vector<Tick> pairLast_; //!< last arrival per (src,dst) pair
-    std::vector<NodeIngress> ingress_; //!< per-destination drain state
-    /**
-     * Machine-wide local traffic in (due, seq) order from localHead_
-     * on; [0, localHead_) is the flushed prefix. Every push is due
-     * one bus cycle after the clock, which never moves backwards, so
-     * a push is an append and the flush pops by bumping the index.
-     * The prefix is reclaimed whenever the queue drains empty (the
-     * common case, keeping capacity), or compacted in place once it
-     * outgrows a small bound.
-     */
-    std::vector<LocalPending> localQ_;
-    std::size_t localHead_ = 0; //!< first unflushed localQ_ entry
-    LocalFlushEvent localFlush_;
+    EventPool<MsgEvent> pool_; //!< in-flight messages
     FaultManager *faults_ = nullptr; //!< fault layer; null = fault-free
     ObsManager *obs_ = nullptr; //!< observability; null = untraced
     std::unique_ptr<LossState> loss_; //!< null = lossless (the default)
-    NodeId draining_ = noNode; //!< node whose drain loop is on stack
-    std::uint64_t pushSeq_ = 0; //!< global arrival-tie sequencer
     Counter sent_;
     Counter queued_;
     Counter linkQueued_;

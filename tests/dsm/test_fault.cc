@@ -10,6 +10,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
+#include "testutil.hh"
 
 using namespace mspdsm;
 
@@ -85,7 +86,7 @@ TEST(Fault, UnconfiguredRunCarriesNoFaultState)
     // the fault layer provably did not perturb the machine).
     const RunResult r = runSpec("em3d", SpecMode::SwiFirstRead, tiny());
     EXPECT_EQ(r.status, RunStatus::Completed);
-    EXPECT_EQ(r.execTicks, 120022u);
+    EXPECT_EQ(r.execTicks, test::goldenEm3dSwiFrTicks);
     EXPECT_EQ(r.messages, 1984u);
     EXPECT_FALSE(r.fault.faulted);
     EXPECT_EQ(r.fault.killTick, 0u);
@@ -117,7 +118,7 @@ TEST(Fault, KillAndRecoveryBookkeeping)
     EXPECT_GE(r.fault.opsAtRestart, r.fault.opsAtKill);
     EXPECT_GT(r.fault.opsAtEnd, r.fault.opsAtRestart);
     // The outage costs time against the fault-free golden run.
-    EXPECT_GT(r.execTicks, 120022u);
+    EXPECT_GT(r.execTicks, test::goldenEm3dSwiFrTicks);
     // em3d shares every block across the machine: survivors always
     // hold lines homed at the victim, so the backup's reconstruction
     // sweep always has contributors.
@@ -205,7 +206,7 @@ TEST(Fault, RetryKnobDefaultsAreBitIdentical)
     const RunResult b =
         runSpec("em3d", SpecMode::SwiFirstRead, explicitKnobs);
     expectIdentical(a, b);
-    EXPECT_EQ(b.execTicks, 120022u); // still the golden run
+    EXPECT_EQ(b.execTicks, test::goldenEm3dSwiFrTicks); // still golden
     EXPECT_EQ(b.messages, 1984u);
 }
 

@@ -10,6 +10,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/workload_cache.hh"
+#include "testutil.hh"
 
 using namespace mspdsm;
 
@@ -113,7 +114,7 @@ TEST_F(CacheTest, ExperimentRunsShareTheCachedWorkload)
     EXPECT_TRUE(r3.completed());
     // The golden-pinned values still hold through the cache (the
     // full set lives in tests/integration/test_golden.cc).
-    EXPECT_EQ(r1.execTicks, 124574u);
+    EXPECT_EQ(r1.execTicks, test::goldenEm3dAccuracyTicks);
     EXPECT_EQ(r1.messages, 2208u);
     EXPECT_EQ(r3.messages, 1984u);
 }

@@ -9,34 +9,9 @@
  * numbers is a behavioral change, not a refactor, and must be
  * justified (and these constants re-captured) explicitly.
  *
- * Re-captured once (execTicks only, PR 7): the batched event layer
- * -- the per-destination NI drain, the machine-wide local-delivery
- * flush, and the per-home directory due-queues -- performs every
- * piece of work at the identical tick the per-message/per-action
- * events did (tests/net/test_drain_diff.cc proves the transport leg
- * against a reference reimplementation on every topology), but work
- * units landing on the *same* tick across different nodes or
- * components now run in batch order instead of per-event schedule
- * order. Both orders are legal (each stream's internal FIFO is
- * preserved; nothing ever promised a cross-stream tie order); the
- * handler interleave at equal ticks shifts the em3d critical path by
- * a few tens of ticks. Message counts and every predictor and
- * speculation counter were unchanged, as was the fully-jittered
- * barnes run. Details in the ROADMAP perf log.
- *
- * Re-captured a second time (execTicks only, same PR): the optimistic
- * single-slot ingress reservation books the NI in strict
- * (arrival, seq) order for every message -- the order the retired
- * per-message arrival events fired in -- where the send-time elision
- * used to commit a reservation early under a fusion guard that a
- * deeper fused chain could still undercut (the guard rules out
- * *events* before the arrival, but a fused handler chain sends
- * without scheduling events, and a later send in the chain can carry
- * a smaller jittered arrival). A per-destination reservation-order
- * trace pinned the divergence to exactly those early commits; the
- * slot's undercut rollback restores the reference order. Message
- * counts, every predictor and speculation counter, and the jittered
- * barnes run were again unchanged.
+ * The em3d execTicks pins live once in tests/testutil.hh and are the
+ * seed kernel's values again, now that every message and directory
+ * action is its own event, as in the seed.
  */
 
 #include <gtest/gtest.h>
@@ -64,7 +39,7 @@ TEST(Golden, Em3dAccuracyRunMatchesSeedKernel)
 {
     const RunResult r = runAccuracy("em3d", 1, tiny());
     EXPECT_EQ(r.status, RunStatus::Completed);
-    EXPECT_EQ(r.execTicks, 124574u);
+    EXPECT_EQ(r.execTicks, test::goldenEm3dAccuracyTicks);
     EXPECT_EQ(r.messages, 2208u);
     ASSERT_EQ(r.observers.size(), 3u);
     // Cosmos, MSP, VMSP at depth 1, in harness order.
@@ -83,7 +58,7 @@ TEST(Golden, Em3dSpeculativeRunMatchesSeedKernel)
 {
     const RunResult r = runSpec("em3d", SpecMode::SwiFirstRead, tiny());
     EXPECT_EQ(r.status, RunStatus::Completed);
-    EXPECT_EQ(r.execTicks, 120022u);
+    EXPECT_EQ(r.execTicks, test::goldenEm3dSwiFrTicks);
     EXPECT_EQ(r.messages, 1984u);
     EXPECT_EQ(r.swiSent, 80u);
     EXPECT_EQ(r.specSentSwi, 192u);

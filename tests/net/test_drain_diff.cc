@@ -1,18 +1,16 @@
-/** @file Differential test for the batched per-destination NI drain.
+/** @file Differential test of the network against an independent
+ * two-stage transport oracle.
  *
- * The drain replaced the per-message two-stage (arrival event +
- * delivery event) transport with one self-rescheduling event per
- * destination that books the ingress NI in arrival order and batches
- * reservations. Its timing-equivalence argument (ARCHITECTURE.md,
- * "Batched NI drain") claims every message still departs, flies,
- * queues, and delivers at exactly the ticks the two-stage path
- * produced. This test checks that claim mechanically: randomized
- * cross-traffic -- every topology, with and without jitter, local and
- * remote, data and control -- is driven through the real Network and
- * through a reference reimplementation of the retired two-stage path
- * built from the same Topology/Rng/BoundedDraw pieces, and every
- * message must be delivered at the identical tick with per-(src,dst)
- * FIFO order intact, with identical NI and link queueing totals.
+ * The network moves every message in two stages (the paper's Section
+ * 6 NI model): an arrival event that books the destination's ingress
+ * NI in arrival order, then a delivery event one occupancy later.
+ * RefNet below reimplements that transport from the same
+ * Topology/Rng/BoundedDraw pieces, independently of src/net.
+ * Randomized cross-traffic -- every topology, with and without
+ * jitter, local and remote, data and control -- is driven through
+ * both, and every message must be delivered at the identical tick
+ * with per-(src,dst) FIFO order intact, with identical NI and link
+ * queueing totals.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +41,7 @@ struct Delivery
 };
 
 /**
- * Reference transport: a faithful reimplementation of the retired
+ * Reference transport: an independent reimplementation of the
  * two-stage path. sendAt performs the identical egress / link-walk /
  * jitter / pair-clamp arithmetic, then schedules an arrival event at
  * the arrival tick; the arrival stage reserves the ingress NI at
@@ -214,7 +212,7 @@ struct Driver final : public Event
     std::size_t idx = 0;
 };
 
-/** Run the plan through the real drain-based Network. */
+/** Run the plan through the real Network. */
 std::pair<std::vector<Delivery>, std::pair<std::uint64_t, std::uint64_t>>
 runReal(const ProtoConfig &cfg, std::uint64_t rngSeed,
         const std::vector<Send> &plan)
@@ -269,9 +267,7 @@ runRef(const ProtoConfig &cfg, std::uint64_t rngSeed,
  * identical per-(src,dst) delivery order (== send order, the
  * protocol's point-to-point FIFO guarantee), identical contention
  * totals. Global cross-destination order at equal ticks is NOT
- * compared: per-destination drains legitimately interleave same-tick
- * deliveries to *different* nodes in a different (still legal) order
- * than per-message events did.
+ * compared: the protocol promises only per-pair order.
  */
 void
 expectEquivalent(const ProtoConfig &cfg, std::uint64_t planSeed,
@@ -359,8 +355,8 @@ TEST(DrainDiff, Torus2dMatchesTwoStageReference)
 TEST(DrainDiff, DenseSameDestinationBacklog)
 {
     // The ingress_batch bench's shape: every source hammers one hot
-    // node, so the drain spends the whole run inside one busy period
-    // and the batched-reservation path carries every message.
+    // node, so its ingress NI spends the whole run inside one busy
+    // period and every message queues behind the backlog.
     ProtoConfig cfg;
     std::vector<Send> plan;
     Tick t = 0;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "testutil.hh"
 
 using namespace mspdsm;
 
@@ -120,7 +121,7 @@ TEST(Trace, RoundTripBalancedAndPaired)
 
     // The tracer is read-only: the traced run matches the golden
     // fixed-seed numbers (tests/integration/test_golden.cc) exactly.
-    EXPECT_EQ(traced.execTicks, 120022u);
+    EXPECT_EQ(traced.execTicks, test::goldenEm3dSwiFrTicks);
     EXPECT_EQ(traced.messages, 1984u);
 
     const std::vector<TraceEvent> evs = parseTrace(path);

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "dsm/directory.hh"
+#include "net/network.hh"
 #include "testutil.hh"
 
 using namespace mspdsm;
@@ -21,7 +25,98 @@ observedConfig(unsigned nodes = 4)
     return cfg;
 }
 
+/**
+ * A 4-node machine reduced to one directory: node 1, standing in as
+ * the interim home of shards 2 and 3 besides its own shard 1. Every
+ * node's network sink logs the block of each message it receives.
+ */
+struct ShardHost
+{
+    ShardHost()
+    {
+        for (NodeId n = 0; n < cfg.numNodes; ++n)
+            net.attach(n, &ShardHost::record, this);
+        dir.setHomeRemap(remap);
+    }
+
+    static ProtoConfig
+    fourNodes()
+    {
+        ProtoConfig p;
+        p.numNodes = 4;
+        p.netJitter = 0;
+        return p;
+    }
+
+    static void
+    record(void *ctx, const CohMsg &m)
+    {
+        static_cast<ShardHost *>(ctx)->received.push_back(m.blk);
+    }
+
+    /** The first block of geometric shard @p home. */
+    BlockId
+    blockOf(NodeId home) const
+    {
+        return static_cast<BlockId>(home) * cfg.blocksPerPage();
+    }
+
+    /** Node 0 requests one block of each hosted shard at the current
+     * tick: reads of shards 1 and 2, a write of shard 3. Each leaves
+     * one pending directory action (a read reply or a grant). */
+    void
+    request()
+    {
+        for (NodeId h : {NodeId{1}, NodeId{2}, NodeId{3}}) {
+            CohMsg m;
+            m.type = h == 3 ? MsgType::GetX : MsgType::GetS;
+            m.src = 0;
+            m.dst = 1;
+            m.blk = blockOf(h);
+            dir.handle(m);
+        }
+    }
+
+    const ProtoConfig cfg = fourNodes();
+    const NodeId remap[4] = {0, 1, 1, 1};
+    EventQueue eq;
+    Network net{eq, cfg, Rng(1)};
+    Directory dir{1, eq, net, cfg, {}, nullptr, SpecMode::None};
+    std::vector<BlockId> received;
+};
+
 } // namespace
+
+TEST(Directory, ReleaseShardCancelsOnlyThatShardsActions)
+{
+    ShardHost host;
+    CallEvent requests([&] { host.request(); });
+    host.eq.schedule(10, requests);
+    // Fail-back of shard 2 before any service latency has elapsed.
+    CallEvent release([&] { host.dir.releaseShard(2); });
+    host.eq.schedule(11, release);
+    EXPECT_TRUE(host.eq.run());
+    // Shards 1 and 3 still reply; shard 2's reply never goes out.
+    EXPECT_EQ(host.received, (std::vector<BlockId>{host.blockOf(1),
+                                                    host.blockOf(3)}));
+    EXPECT_EQ(host.dir.stats().faultAborts.value(), 1u);
+    EXPECT_EQ(host.dir.blockState(host.blockOf(3)), DirState::Excl);
+}
+
+TEST(Directory, FailoverCancelsEveryPendingAction)
+{
+    ShardHost host;
+    CallEvent requests([&] { host.request(); });
+    host.eq.schedule(10, requests);
+    CallEvent fail([&] {
+        host.dir.failover();
+        EXPECT_EQ(host.eq.pending(), 0u);
+    });
+    host.eq.schedule(11, fail);
+    EXPECT_TRUE(host.eq.run());
+    EXPECT_TRUE(host.received.empty());
+    EXPECT_EQ(host.eq.curTick(), 11u);
+}
 
 TEST(Directory, CountsRequestsByType)
 {

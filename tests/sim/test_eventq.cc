@@ -119,7 +119,7 @@ TEST(EventQueue, CountsExecutedEvents)
 TEST(EventQueue, ZeroDelaySelfScheduleChain)
 {
     // An event rescheduling itself from its own handler: the pattern
-    // every component's step/drain/flush event follows.
+    // the processor step event and the two-stage message event follow.
     struct Chain final : Event
     {
         void

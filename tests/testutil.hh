@@ -27,6 +27,14 @@ struct CallEvent final : Event
     F fn;
 };
 
+/**
+ * Pinned execTicks of the two em3d golden runs at scale 0.25 and two
+ * iterations: the depth-1 accuracy run and the SWI+FR speculative
+ * run. tests/integration/test_golden.cc pins the rest of each run.
+ */
+inline constexpr Tick goldenEm3dAccuracyTicks = 124549;
+inline constexpr Tick goldenEm3dSwiFrTicks = 119987;
+
 /** A default small config: 4 nodes unless overridden. */
 inline DsmConfig
 smallConfig(unsigned nodes = 4)
