@@ -18,7 +18,10 @@
 #ifndef MSPDSM_BENCH_BENCH_COMMON_HH
 #define MSPDSM_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +31,9 @@
 #include <iostream>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -72,34 +78,31 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "  --tick-limit N  deadlock-guard tick budget per run;\n"
        << "               trips surface as TICK-LIMIT rows / JSON\n"
        << "               tick_limit fields, never a stderr warning\n"
-       << "  --fail-node N  fail-stop node N mid-run (default: no\n"
-       << "               fault injection; the run is bit-identical\n"
-       << "               to one without the fault layer)\n"
-       << "  --fail-tick T  tick at which --fail-node is killed\n"
-       << "  --recover-tick T  tick at which the victim restarts\n"
-       << "               (0 = never; survivors stall at the next\n"
-       << "               barrier and the run reports partial results)\n"
+       << "  --kill N@T   fail-stop node N at tick T (repeatable:\n"
+       << "               several kills give concurrent and cascading\n"
+       << "               failures; default: no fault injection, and\n"
+       << "               the run is bit-identical to one without the\n"
+       << "               fault layer)\n"
+       << "  --restart N@T  restart node N at tick T (repeatable);\n"
+       << "               the victim re-adopts its original shard\n"
+       << "               (fail-back). Without one, survivors stall at\n"
+       << "               the next barrier and the run reports partial\n"
+       << "               results\n"
        << "  --backup-node N  adopter of the victim's directory\n"
        << "               shard (default (victim+1) mod procs)\n"
        << "  --warm-restart  merge the victim's replicated predictor\n"
        << "               checkpoint into the backup on the kill\n"
        << "  --ckpt-interval T  predictor checkpoint period, ticks\n"
        << "               (0 = no checkpointing)\n"
-       << "  --kill N@T   fail-stop node N at tick T (repeatable;\n"
-       << "               combines with --fail-node for concurrent\n"
-       << "               and cascading failures)\n"
-       << "  --restart N@T  restart node N at tick T (repeatable);\n"
-       << "               the victim re-adopts its original shard\n"
-       << "               (fail-back)\n"
        << "  --replicate-shards  stream directory-shard deltas to the\n"
        << "               backup (batched ShardSync messages) so\n"
        << "               failover installs replicated state instead\n"
        << "               of sweeping the survivors' caches\n"
        << "  --retry-limit N  cache retry FSM bound before the fatal\n"
-       << "               (default 16)\n"
+       << "               (default " << FaultPlan{}.retryLimit << ")\n"
        << "  --stale-timeout T  silence, in ticks, before a cache\n"
        << "               re-issues an outstanding miss (default "
-          "20000)\n"
+       << FaultPlan{}.staleTimeout << ")\n"
        << "  --lossy-link L,FROM,TO,NTH  drop every NTH message head\n"
        << "               crossing link L in tick window [FROM,TO)\n"
        << "               (repeatable; link topologies only; TO = 0\n"
@@ -121,19 +124,42 @@ printUsage(std::ostream &os, const char *tool, const char *what)
        << "               bit-identical either way)\n"
        << "  --json FILE  write the mspdsm-sweep-v1 record to FILE\n"
        << "  -o FILE      alias of --json (BENCH_core.json schema\n"
-       << "               for the micro benches)\n"
-       << "  --smoke      micro benches only: shorten for CI\n"
+       << "               for bench_core)\n"
+       << "  --smoke      bench_core and fig11_recovery only: shorten\n"
+       << "               for CI\n"
        << "  --help       this text\n";
 }
 
 /**
+ * Strictly parse all of @p s as a T: digits only for an unsigned T
+ * (no sign, no blanks, no trailing text, within T's range), a finite
+ * non-negative number for a double.
+ * @return false on malformed or out-of-range text
+ */
+template <typename T>
+bool
+parseNumber(std::string_view s, T &out)
+{
+    const char *end = s.data() + s.size();
+    if (s.empty() || s.front() == '+' || s.front() == '-')
+        return false;
+    auto [p, ec] = std::from_chars(s.data(), end, out);
+    if constexpr (std::is_floating_point_v<T>)
+        return ec == std::errc{} && p == end && std::isfinite(out);
+    else
+        return ec == std::errc{} && p == end;
+}
+
+/**
  * Parse the uniform bench command line; exits on --help (0) and on a
- * malformed or unknown argument (2).
+ * malformed or unknown argument (2), naming the flag.
  */
 inline BenchArgs
 parseArgs(int argc, char **argv, const char *tool, const char *what)
 {
     BenchArgs a;
+    FaultPlan &faults = a.ec.faults;
+    ObsConfig &obs = a.ec.obs;
     int positional = 0;
     auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -143,17 +169,43 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
         }
         return argv[++i];
     };
-    // "N@T" for --kill / --restart: node N, tick T.
-    auto nodeAtTick = [&](const char *flag, const char *s,
-                          NodeId &node, Tick &tick) {
-        char *at = nullptr;
-        node = static_cast<NodeId>(std::strtoul(s, &at, 10));
-        if (!at || *at != '@') {
-            std::cerr << tool << ": " << flag << " expects N@T, got '"
-                      << s << "'\n";
-            std::exit(2);
-        }
-        tick = std::strtoull(at + 1, nullptr, 10);
+    auto reject = [&](const char *flag, const char *shape,
+                      std::string_view got) {
+        std::cerr << tool << ": " << flag << " expects " << shape
+                  << ", got '" << got << "'\n";
+        std::exit(2);
+    };
+    auto flagNum = [&]<typename T>(T &out, const char *flag, int &i) {
+        const char *s = value(i);
+        if (!parseNumber(s, out))
+            reject(flag,
+                   std::is_floating_point_v<T> ? "a non-negative number"
+                                               : "a non-negative integer",
+                   s);
+    };
+    // A compound value such as --kill's N@T: @p tail (all or the end
+    // of @p whole) splits at @p sep into exactly one number per out.
+    auto compound = [&](const char *flag, const char *shape,
+                        std::string_view whole, std::string_view tail,
+                        char sep, auto &...outs) {
+        std::size_t left = sizeof...(outs);
+        bool ok = true;
+        auto field = [&](auto &out) {
+            const std::size_t at = --left ? tail.find(sep) : tail.size();
+            ok = ok && at != std::string_view::npos &&
+                 parseNumber(tail.substr(0, at), out);
+            if (ok)
+                tail.remove_prefix(std::min(at + 1, tail.size()));
+        };
+        (field(outs), ...);
+        if (!ok)
+            reject(flag, shape, whole);
+    };
+    auto fault = [&](const char *flag, FaultKind kind, int &i) {
+        const char *s = value(i);
+        FaultEvent fe{0, invalidNode, kind};
+        compound(flag, "N@T", s, s, '@', fe.node, fe.tick);
+        faults.events.push_back(fe);
     };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -161,15 +213,14 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             printUsage(std::cout, tool, what);
             std::exit(0);
         } else if (!std::strcmp(arg, "--scale")) {
-            a.ec.scale = std::atof(value(i));
+            flagNum(a.ec.scale, arg, i);
         } else if (!std::strcmp(arg, "--iters") ||
                    !std::strcmp(arg, "--iterations")) {
-            a.ec.iterations =
-                static_cast<unsigned>(std::atoi(value(i)));
+            flagNum(a.ec.iterations, arg, i);
         } else if (!std::strcmp(arg, "--procs")) {
-            a.ec.numProcs = static_cast<unsigned>(std::atoi(value(i)));
+            flagNum(a.ec.numProcs, arg, i);
         } else if (!std::strcmp(arg, "--seed")) {
-            a.ec.seed = std::strtoull(value(i), nullptr, 10);
+            flagNum(a.ec.seed, arg, i);
         } else if (!std::strcmp(arg, "--topology")) {
             const char *name = value(i);
             if (!mspdsm::parseTopoKind(name, a.ec.topo.kind)) {
@@ -179,93 +230,56 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
                 std::exit(2);
             }
         } else if (!std::strcmp(arg, "--link-latency")) {
-            a.ec.topo.linkLatency = std::strtoull(value(i), nullptr, 10);
+            flagNum(a.ec.topo.linkLatency, arg, i);
         } else if (!std::strcmp(arg, "--tick-limit")) {
-            a.ec.tickLimit = std::strtoull(value(i), nullptr, 10);
-        } else if (!std::strcmp(arg, "--fail-node")) {
-            a.ec.failNode = static_cast<NodeId>(std::atoi(value(i)));
-        } else if (!std::strcmp(arg, "--fail-tick")) {
-            a.ec.failTick = std::strtoull(value(i), nullptr, 10);
-        } else if (!std::strcmp(arg, "--recover-tick")) {
-            a.ec.recoverTick = std::strtoull(value(i), nullptr, 10);
+            flagNum(a.ec.tickLimit, arg, i);
         } else if (!std::strcmp(arg, "--backup-node")) {
-            a.ec.backupNode = static_cast<NodeId>(std::atoi(value(i)));
+            flagNum(faults.backup, arg, i);
         } else if (!std::strcmp(arg, "--warm-restart")) {
-            a.ec.warmRestart = true;
+            faults.warmRestart = true;
         } else if (!std::strcmp(arg, "--ckpt-interval")) {
-            a.ec.ckptInterval = std::strtoull(value(i), nullptr, 10);
+            flagNum(faults.ckptInterval, arg, i);
         } else if (!std::strcmp(arg, "--kill")) {
-            FaultEvent fe{0, invalidNode, FaultKind::Kill};
-            nodeAtTick("--kill", value(i), fe.node, fe.tick);
-            a.ec.extraFaults.push_back(fe);
+            fault(arg, FaultKind::Kill, i);
         } else if (!std::strcmp(arg, "--restart")) {
-            FaultEvent fe{0, invalidNode, FaultKind::Restart};
-            nodeAtTick("--restart", value(i), fe.node, fe.tick);
-            a.ec.extraFaults.push_back(fe);
+            fault(arg, FaultKind::Restart, i);
         } else if (!std::strcmp(arg, "--replicate-shards")) {
-            a.ec.replicateShards = true;
+            faults.replicateShards = true;
         } else if (!std::strcmp(arg, "--retry-limit")) {
-            a.ec.retryLimit =
-                static_cast<unsigned>(std::atoi(value(i)));
+            flagNum(faults.retryLimit, arg, i);
         } else if (!std::strcmp(arg, "--stale-timeout")) {
-            a.ec.staleTimeout = std::strtoull(value(i), nullptr, 10);
+            flagNum(faults.staleTimeout, arg, i);
         } else if (!std::strcmp(arg, "--lossy-link")) {
             const char *s = value(i);
             LinkLossRule r;
-            char *p = nullptr;
-            r.link = static_cast<std::uint32_t>(
-                std::strtoul(s, &p, 10));
-            bool ok = p && *p == ',';
-            if (ok)
-                r.from = std::strtoull(p + 1, &p, 10);
-            ok = ok && p && *p == ',';
-            if (ok)
-                r.to = std::strtoull(p + 1, &p, 10);
-            ok = ok && p && *p == ',';
-            if (ok)
-                r.everyNth = static_cast<unsigned>(
-                    std::strtoul(p + 1, &p, 10));
-            if (!ok || (p && *p != '\0')) {
-                std::cerr << tool << ": --lossy-link expects "
-                          << "L,FROM,TO,NTH, got '" << s << "'\n";
-                std::exit(2);
-            }
+            compound(arg, "L,FROM,TO,NTH", s, s, ',', r.link, r.from,
+                     r.to, r.everyNth);
             if (r.to == 0) // 0 = open-ended window
                 r.to = maxTick;
-            a.ec.linkLoss.push_back(r);
+            faults.linkLoss.push_back(r);
         } else if (!std::strcmp(arg, "--trace")) {
-            const char *s = value(i);
-            const char *comma = std::strchr(s, ',');
-            if (!comma) {
-                a.ec.tracePath = s;
-            } else {
-                a.ec.tracePath.assign(s, comma - s);
-                char *p = nullptr;
-                a.ec.traceFrom = std::strtoull(comma + 1, &p, 10);
-                bool ok = p && *p == ',';
-                if (ok)
-                    a.ec.traceTo = std::strtoull(p + 1, &p, 10);
-                if (!ok || (p && *p != '\0')) {
-                    std::cerr << tool << ": --trace expects "
-                              << "FILE[,FROM,TO], got '" << s << "'\n";
-                    std::exit(2);
-                }
-                if (a.ec.traceTo == 0) // 0 = open-ended window
-                    a.ec.traceTo = maxTick;
+            const std::string_view s = value(i);
+            const std::size_t comma = s.find(',');
+            obs.tracePath = s.substr(0, comma);
+            if (comma != std::string_view::npos) {
+                compound(arg, "FILE[,FROM,TO]", s, s.substr(comma + 1),
+                         ',', obs.traceFrom, obs.traceTo);
+                if (obs.traceTo == 0) // 0 = open-ended window
+                    obs.traceTo = maxTick;
             }
-            if (a.ec.tracePath.empty()) {
+            if (obs.tracePath.empty()) {
                 std::cerr << tool
                           << ": --trace needs a file name\n";
                 std::exit(2);
             }
         } else if (!std::strcmp(arg, "--sample-interval")) {
-            a.ec.sampleInterval = std::strtoull(value(i), nullptr, 10);
+            flagNum(obs.sampleInterval, arg, i);
         } else if (!std::strcmp(arg, "--verbose") ||
                    !std::strcmp(arg, "-v")) {
             setLogVerbosity(1);
         } else if (!std::strcmp(arg, "--jobs") ||
                    !std::strcmp(arg, "-j")) {
-            a.jobs = static_cast<unsigned>(std::atoi(value(i)));
+            flagNum(a.jobs, arg, i);
         } else if (!std::strcmp(arg, "--json") ||
                    !std::strcmp(arg, "-o")) {
             a.jsonPath = value(i);
@@ -276,11 +290,12 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
                       << " (try --help)\n";
             std::exit(2);
         } else if (positional == 0) {
-            a.ec.scale = std::atof(arg); // legacy [scale]
+            if (!parseNumber(arg, a.ec.scale)) // legacy [scale]
+                reject("[scale]", "a non-negative number", arg);
             ++positional;
         } else if (positional == 1) {
-            a.ec.iterations = // legacy [iterations]
-                static_cast<unsigned>(std::atoi(arg));
+            if (!parseNumber(arg, a.ec.iterations)) // legacy [iterations]
+                reject("[iterations]", "a non-negative integer", arg);
             ++positional;
         } else {
             std::cerr << tool << ": unexpected argument " << arg
@@ -288,7 +303,7 @@ parseArgs(int argc, char **argv, const char *tool, const char *what)
             std::exit(2);
         }
     }
-    if (!a.ec.tracePath.empty() && a.jobs != 1) {
+    if (!obs.tracePath.empty() && a.jobs != 1) {
         // Every traced run in a sweep writes to the same file; the
         // last writer wins, which only makes sense serially.
         std::cerr << tool << ": --trace forces --jobs 1\n";
@@ -408,16 +423,9 @@ printResults(std::ostream &os, const std::vector<BenchResult> &rs)
 }
 
 /**
- * Serialize results plus headline metrics as the BENCH_core.json
- * schema consumed by CI and the ROADMAP perf log.
- */
-inline void
-writeJson(std::ostream &os, const std::vector<BenchResult> &rs,
-          const std::vector<std::pair<std::string, double>> &headline);
-
-/**
- * Shared micro-bench epilogue: write the BENCH_core.json-schema
- * record to @p path (announced on stdout).
+ * bench_core's epilogue: write results plus headline metrics to
+ * @p path as the BENCH_core.json schema consumed by CI and the
+ * ROADMAP perf log (announced on stdout).
  * @return the binary's exit code
  */
 inline int
@@ -431,7 +439,19 @@ writeMicroJson(const std::string &path,
         std::cerr << "cannot open " << path << " for writing\n";
         return 1;
     }
-    writeJson(f, rs, headline);
+    f << "{\n  \"schema\": \"mspdsm-bench-core-v1\",\n";
+    for (const auto &[key, value] : headline)
+        f << "  \"" << key << "\": " << value << ",\n";
+    f << "  \"peak_rss_bytes\": " << peakRssBytes() << ",\n";
+    f << "  \"benches\": [\n";
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        const BenchResult &r = rs[i];
+        f << "    {\"name\": \"" << r.name << "\", \"items\": "
+          << r.items << ", \"seconds\": " << r.seconds
+          << ", \"items_per_sec\": " << r.itemsPerSec << "}"
+          << (i + 1 < rs.size() ? "," : "") << "\n";
+    }
+    f << "  ]\n}\n";
     std::cout << "wrote " << path << " (";
     for (std::size_t i = 0; i < headline.size(); ++i) {
         std::cout << (i ? ", " : "") << headline[i].first << " "
@@ -439,25 +459,6 @@ writeMicroJson(const std::string &path,
     }
     std::cout << ")\n";
     return 0;
-}
-
-inline void
-writeJson(std::ostream &os, const std::vector<BenchResult> &rs,
-          const std::vector<std::pair<std::string, double>> &headline)
-{
-    os << "{\n  \"schema\": \"mspdsm-bench-core-v1\",\n";
-    for (const auto &[key, value] : headline)
-        os << "  \"" << key << "\": " << value << ",\n";
-    os << "  \"peak_rss_bytes\": " << peakRssBytes() << ",\n";
-    os << "  \"benches\": [\n";
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-        const BenchResult &r = rs[i];
-        os << "    {\"name\": \"" << r.name << "\", \"items\": "
-           << r.items << ", \"seconds\": " << r.seconds
-           << ", \"items_per_sec\": " << r.itemsPerSec << "}"
-           << (i + 1 < rs.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
 }
 
 } // namespace mspdsm::bench

@@ -27,6 +27,7 @@
  * replication-cost axis.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <string>
@@ -78,22 +79,35 @@ main(int argc, char **argv)
     }
 
     // The fault plan: one mid-run fail-stop with a later restart,
-    // identical across every cell so phases are comparable. The
-    // --fail-* flags override each default.
-    const NodeId victim =
-        args.ec.failNode != invalidNode ? args.ec.failNode : NodeId{3};
-    const Tick failTick = args.ec.failTick ? args.ec.failTick : 40000;
-    const Tick recoverTick =
-        args.ec.recoverTick ? args.ec.recoverTick : 70000;
+    // identical across every cell so phases are comparable. A
+    // --kill/--restart schedule replaces the default; the header
+    // then reports its earliest kill and latest restart.
+    FaultPlan &plan = args.ec.faults;
+    if (plan.events.empty())
+        plan.events = {{40000, 3, FaultKind::Kill},
+                       {70000, 3, FaultKind::Restart}};
+    NodeId victim = invalidNode;
+    Tick killTick = maxTick;
+    Tick restartTick = 0;
+    for (const FaultEvent &fe : plan.events) {
+        if (fe.kind == FaultKind::Kill && fe.tick < killTick) {
+            victim = fe.node;
+            killTick = fe.tick;
+        } else if (fe.kind == FaultKind::Restart) {
+            restartTick = std::max(restartTick, fe.tick);
+        }
+    }
+    if (victim == invalidNode)
+        fatal("fig11_recovery: the fault schedule needs a --kill");
     const Tick ckptInterval =
-        args.ec.ckptInterval ? args.ec.ckptInterval : failTick / 4;
+        plan.ckptInterval ? plan.ckptInterval : killTick / 4;
     // Interval time-series on by default here: fig11 is the bench
     // whose per-run records must visibly bracket the outage (the
     // throughput dip between kill and restart). --sample-interval
     // overrides; an eighth of the pre-kill phase gives several
     // samples on each side of both fault edges.
-    if (!args.ec.sampleInterval)
-        args.ec.sampleInterval = failTick / 8;
+    if (!args.ec.obs.sampleInterval)
+        args.ec.obs.sampleInterval = killTick / 8;
 
     // Topology axis: the paper's crossbar plus a link-contended
     // fabric, unless --topology narrows it.
@@ -122,12 +136,9 @@ main(int argc, char **argv)
             for (const bool repl : {false, true}) {
                 ExperimentConfig ec = args.ec;
                 ec.topo.kind = kind;
-                ec.failNode = victim;
-                ec.failTick = failTick;
-                ec.recoverTick = recoverTick;
-                ec.warmRestart = warm;
-                ec.ckptInterval = warm ? ckptInterval : 0;
-                ec.replicateShards = repl;
+                ec.faults.warmRestart = warm;
+                ec.faults.ckptInterval = warm ? ckptInterval : 0;
+                ec.faults.replicateShards = repl;
                 const std::string tag =
                     std::string(topoKindName(kind)) +
                     (warm ? " warm" : " cold") +
@@ -162,8 +173,8 @@ main(int argc, char **argv)
                 " speedup = SWI/Base machine-wide throughput per "
                 "phase)\n\n",
                 unsigned(victim),
-                static_cast<unsigned long long>(failTick),
-                static_cast<unsigned long long>(recoverTick));
+                static_cast<unsigned long long>(killTick),
+                static_cast<unsigned long long>(restartTick));
 
     Table t({"topology", "restart", "shards", "recover",
              "speedup before", "during", "after", "rehome",

@@ -208,7 +208,7 @@ netRoute()
  * Items are messages delivered.
  */
 [[gnu::flatten]] std::uint64_t
-netIngressBatch()
+netIngressSerial()
 {
     constexpr int n = 20000;
     ProtoConfig cfg;
@@ -346,7 +346,7 @@ runSimSuite(const BenchOptions &opts)
     rs.push_back(runBench("sim/messages_spec", opts, simMessagesSpec));
     rs.push_back(runBench("net/route", opts, netRoute));
     rs.push_back(
-        runBench("net/ingress_batch", opts, netIngressBatch));
+        runBench("net/ingress_serial", opts, netIngressSerial));
     rs.push_back(runBench("workload/compile", opts, workloadCompile));
     return rs;
 }

@@ -43,7 +43,7 @@ REQUIRED_BENCH_NAMES = [
     "sim/messages_compiled",
     "sim/messages_spec",
     "net/route",
-    "net/ingress_batch",
+    "net/ingress_serial",
     "workload/compile",
     "pred/observe_mix",
     "pred/observe_cold",

@@ -150,24 +150,18 @@ class CacheCtrl
 
     /**
      * Arm the NACK/timeout-and-retry FSM: every demand miss sets a
-     * retry timer, a Nack or an expiry re-issues the request (to the
-     * *current* home, so a re-homed directory is picked up
-     * transparently) with bounded deterministic backoff.
-     */
-    void enableFaults() { faultsEnabled_ = true; }
-
-    /**
-     * Configure the bounded-retry FSM: @p limit retries before the
-     * structured "exhausted" fatal, @p timeout ticks of silence before
-     * a demand miss is re-issued. The defaults reproduce the original
-     * hard-coded policy bit for bit (DsmConfig carries the same
-     * defaults); fig11 sweeps them via --retry-limit/--stale-timeout.
+     * retry timer of @p timeout ticks, a Nack or an expiry re-issues
+     * the request (to the *current* home, so a re-homed directory is
+     * picked up transparently) with bounded deterministic backoff;
+     * @p limit retries precede the structured "exhausted" fatal. The
+     * policy comes from the FaultPlan.
      */
     void
-    setRetryPolicy(unsigned limit, Tick timeout)
+    enableFaults(unsigned limit, Tick timeout)
     {
         fatal_if(limit == 0 || timeout == 0,
                  "retry limit and stale timeout must be non-zero");
+        faultsEnabled_ = true;
         retryLimit_ = limit;
         retryTimeout_ = timeout;
     }
@@ -293,17 +287,10 @@ class CacheCtrl
     MemCompletion *hitDone_ = nullptr;
     RetryEvent retryEvent_{this};
 
-    /** Bounded retries before the node declares the home unreachable
-     * (DsmConfig::retryLimit; default reproduces the original cap). */
-    unsigned retryLimit_ = 16;
-
-    /**
-     * Retry timeout (DsmConfig::staleTimeout): safely above the worst
-     * legitimate round trip (the fault sweep unblocks every
-     * fault-stalled transaction at the kill tick itself, so an expiry
-     * means a message was lost).
-     */
-    Tick retryTimeout_ = 20000;
+    /** Retry policy (FaultPlan::retryLimit / staleTimeout); set by
+     * enableFaults() and read only while faultsEnabled_. */
+    unsigned retryLimit_ = 0;
+    Tick retryTimeout_ = 0;
 
     unsigned retryAttempts_ = 0;
     bool retryAfterNack_ = false; //!< pending timer is a Nack backoff

@@ -45,7 +45,7 @@ FaultManager::FaultManager(EventQueue &eq, Network &net,
     // every processor.
     net_.setFaults(this);
     for (unsigned i = 0; i < n; ++i) {
-        caches_[i]->enableFaults();
+        caches_[i]->enableFaults(plan_.retryLimit, plan_.staleTimeout);
         caches_[i]->setHomeRemap(remap_.data());
         dirs_[i]->setFaults(this);
         dirs_[i]->setHomeRemap(remap_.data());

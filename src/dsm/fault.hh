@@ -147,6 +147,18 @@ struct FaultPlan
     /** Ack-timeout before a dropped crossing is retransmitted. */
     Tick retransmitDelay = 400;
 
+    /**
+     * The cache controllers' bounded-retry FSM, armed on every cache
+     * when the plan runs: retries before the structured "exhausted"
+     * fatal, and ticks of silence before an outstanding miss is
+     * re-issued. The timeout sits safely above the worst legitimate
+     * round trip (the failover sweep unblocks every fault-stalled
+     * transaction at the kill tick itself, so an expiry means a
+     * message was lost).
+     */
+    unsigned retryLimit = 16;
+    Tick staleTimeout = 20000;
+
     bool empty() const { return events.empty() && linkLoss.empty(); }
 };
 

@@ -64,8 +64,7 @@ DsmSystem::DsmSystem(const DsmConfig &cfg)
     }
 
     for (unsigned i = 0; i < n; ++i) {
-        caches_.emplace_back(NodeId(i), eq_, *net_, cfg_.proto)
-            .setRetryPolicy(cfg_.retryLimit, cfg_.staleTimeout);
+        caches_.emplace_back(NodeId(i), eq_, *net_, cfg_.proto);
         // Passive observers see the arrival-ordered message stream;
         // the speculation-driving VMSP is fed separately by the
         // directory in service order (see Directory::specObserve).

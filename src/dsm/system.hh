@@ -69,20 +69,12 @@ struct DsmConfig
     Tick barrierCost = 50;               //!< barrier release latency
     Tick tickLimit = Tick{1} << 40;      //!< deadlock guard
     /**
-     * Fault schedule; empty (the default) means no FaultManager is
-     * constructed and the machine runs bit-identically to the
-     * pre-fault-layer code.
+     * Fault schedule and recovery policy, the caches' retry policy
+     * included (active only in fault runs); empty (the default)
+     * means no FaultManager is constructed and the machine runs
+     * bit-identically to the pre-fault-layer code.
      */
     FaultPlan faults;
-
-    /**
-     * Bounded-retry FSM policy (CacheCtrl; active only in fault
-     * runs). The defaults reproduce the previously hard-coded 16
-     * retries / 20k-cycle stale timeout bit for bit; fig11 sweeps
-     * them via --retry-limit/--stale-timeout.
-     */
-    unsigned retryLimit = 16;  //!< retries before the fatal
-    Tick staleTimeout = 20000; //!< silence before a re-issue
 
     /**
      * Observability instruments (tracing, interval sampling); empty

@@ -1,5 +1,7 @@
 #include "workload/suite.hh"
 
+#include <cmath>
+
 #include "base/logging.hh"
 
 namespace mspdsm
@@ -31,6 +33,11 @@ appSuite()
 Workload
 makeApp(const std::string &name, const AppParams &p)
 {
+    // The generators size regions as unsigned(k * scale); a negative
+    // or non-finite scale would make that conversion undefined.
+    fatal_if(!std::isfinite(p.scale) || p.scale < 0.0,
+             "workload scale ", p.scale,
+             " must be finite and non-negative");
     for (const AppInfo &info : appSuite()) {
         if (info.name == name) {
             AppParams q = p;

@@ -32,9 +32,8 @@ ExperimentConfig
 faulted()
 {
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 40000;
-    ec.recoverTick = 70000;
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        {70000, 3, FaultKind::Restart}};
     return ec;
 }
 
@@ -144,8 +143,8 @@ TEST(Fault, FaultSweepIsJobCountInvariant)
         SweepRunner sweep(so);
         for (const bool warm : {false, true}) {
             ExperimentConfig ec = faulted();
-            ec.warmRestart = warm;
-            ec.ckptInterval = warm ? 10000 : 0;
+            ec.faults.warmRestart = warm;
+            ec.faults.ckptInterval = warm ? 10000 : 0;
             sweep.addSpec("em3d", SpecMode::None, ec);
             sweep.addSpec("em3d", SpecMode::SwiFirstRead, ec);
         }
@@ -163,8 +162,8 @@ TEST(Fault, FaultSweepIsJobCountInvariant)
 TEST(Fault, WarmRestartReplicatesCheckpoints)
 {
     ExperimentConfig ec = faulted();
-    ec.warmRestart = true;
-    ec.ckptInterval = 10000;
+    ec.faults.warmRestart = true;
+    ec.faults.ckptInterval = 10000;
     const RunResult warm =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(warm.status, RunStatus::Completed);
@@ -195,12 +194,13 @@ TEST(Fault, BaseDsmSurvivesTheFaultToo)
 
 TEST(Fault, RetryKnobDefaultsAreBitIdentical)
 {
-    // Satellite: the bounded-retry FSM constants moved from
-    // compile-time to DsmConfig. Passing the old constants explicitly
-    // must be indistinguishable from not passing them at all.
+    // The bounded-retry FSM's policy is part of the FaultPlan. Passing
+    // the original hard-coded constants explicitly must be
+    // indistinguishable from not passing them at all, fault-free and
+    // in a fault run (the only runs that arm the FSM).
     ExperimentConfig explicitKnobs = tiny();
-    explicitKnobs.retryLimit = 16;
-    explicitKnobs.staleTimeout = 20000;
+    explicitKnobs.faults.retryLimit = 16;
+    explicitKnobs.faults.staleTimeout = 20000;
     const RunResult a =
         runSpec("em3d", SpecMode::SwiFirstRead, tiny());
     const RunResult b =
@@ -208,6 +208,13 @@ TEST(Fault, RetryKnobDefaultsAreBitIdentical)
     expectIdentical(a, b);
     EXPECT_EQ(b.execTicks, test::goldenEm3dSwiFrTicks); // still golden
     EXPECT_EQ(b.messages, 1984u);
+
+    ExperimentConfig faultedKnobs = faulted();
+    faultedKnobs.faults.retryLimit = 16;
+    faultedKnobs.faults.staleTimeout = 20000;
+    expectIdentical(runSpec("em3d", SpecMode::SwiFirstRead, faulted()),
+                    runSpec("em3d", SpecMode::SwiFirstRead,
+                            faultedKnobs));
 }
 
 TEST(Fault, ShardReplicationAvoidsTheSurvivorSweep)
@@ -217,7 +224,7 @@ TEST(Fault, ShardReplicationAvoidsTheSurvivorSweep)
     // reconstruction traffic (RehomeSync) entirely, and the cost
     // moves from the outage into normal operation.
     ExperimentConfig ec = faulted();
-    ec.replicateShards = true;
+    ec.faults.replicateShards = true;
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -238,10 +245,10 @@ TEST(Fault, ConcurrentFailuresCascadeThroughSuccession)
     // 4 dies while hosting 3's shard, both shards cascade to the next
     // live node. Each restart then fail-backs its own shard.
     ExperimentConfig ec = tiny();
-    ec.extraFaults = {{40000, 3, FaultKind::Kill},
-                      {42000, 4, FaultKind::Kill},
-                      {70000, 3, FaultKind::Restart},
-                      {72000, 4, FaultKind::Restart}};
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        {42000, 4, FaultKind::Kill},
+                        {70000, 3, FaultKind::Restart},
+                        {72000, 4, FaultKind::Restart}};
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -266,9 +273,9 @@ TEST(Fault, RestartInsideTheRehomeWindow)
     // interim host are Nacked or dropped) keep the run live and
     // deterministic.
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 40000;
-    ec.recoverTick = 40100; // inside the sync/retry storm
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        // inside the sync/retry storm
+                        {40100, 3, FaultKind::Restart}};
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -298,14 +305,13 @@ TEST(Fault, FailBackInstallsNoStaleMirrorOwner)
     ec.iterations = 50;
     ec.topo.kind = TopoKind::Mesh2D;
     ec.topo.linkLatency = 20;
-    ec.failNode = 3;
-    ec.failTick = killTick;
-    ec.recoverTick = restartTick;
-    ec.warmRestart = true;
-    ec.ckptInterval = killTick / 4;
-    ec.replicateShards = true;
-    ec.linkLoss = {{0, maxTick, 0, 7},
-                   {killTick / 2, restartTick + killTick, 5, 5}};
+    ec.faults.events = {{killTick, 3, FaultKind::Kill},
+                        {restartTick, 3, FaultKind::Restart}};
+    ec.faults.warmRestart = true;
+    ec.faults.ckptInterval = killTick / 4;
+    ec.faults.replicateShards = true;
+    ec.faults.linkLoss = {{0, maxTick, 0, 7},
+                          {killTick / 2, restartTick + killTick, 5, 5}};
     const RunResult r = runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
     EXPECT_EQ(r.fault.failbacks, 1u);
@@ -321,7 +327,7 @@ TEST(Fault, LossyLinksRetransmitDeterministically)
     // bit-repeatable.
     ExperimentConfig ec = tiny();
     ec.topo.kind = TopoKind::Mesh2D;
-    ec.linkLoss = {{0, maxTick, 0, 3}};
+    ec.faults.linkLoss = {{0, maxTick, 0, 3}};
     const RunResult r =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
@@ -345,12 +351,12 @@ TEST(Fault, ChaosRunIsJobCountInvariant)
         for (const bool repl : {false, true}) {
             ExperimentConfig ec = tiny();
             ec.topo.kind = TopoKind::Mesh2D;
-            ec.extraFaults = {{40000, 3, FaultKind::Kill},
-                              {42000, 4, FaultKind::Kill},
-                              {70000, 3, FaultKind::Restart},
-                              {72000, 4, FaultKind::Restart}};
-            ec.linkLoss = {{0, maxTick, 0, 5}};
-            ec.replicateShards = repl;
+            ec.faults.events = {{40000, 3, FaultKind::Kill},
+                                {42000, 4, FaultKind::Kill},
+                                {70000, 3, FaultKind::Restart},
+                                {72000, 4, FaultKind::Restart}};
+            ec.faults.linkLoss = {{0, maxTick, 0, 5}};
+            ec.faults.replicateShards = repl;
             sweep.addSpec("em3d", SpecMode::None, ec);
             sweep.addSpec("em3d", SpecMode::SwiFirstRead, ec);
         }
@@ -373,9 +379,9 @@ TEST(FaultDeathTest, RetryExhaustionIsFatal)
     // node: every retry bounces until the cache controller's bounded
     // FSM gives up with a structured fatal (exit code 1).
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 5000; // mid-flight: survivors still miss on node 3
-    ec.backupNode = 3;  // deliberately pathological: no live home
+    // Mid-flight: survivors still miss on node 3.
+    ec.faults.events = {{5000, 3, FaultKind::Kill}};
+    ec.faults.backup = 3; // deliberately pathological: no live home
     EXPECT_EXIT(runSpec("em3d", SpecMode::None, ec),
                 ::testing::ExitedWithCode(1), "exhausted");
 }
@@ -389,10 +395,10 @@ TEST(FaultDeathTest, RetryExhaustionDuringOverlappingOutage)
     // the bounded retry FSM must still fail structurally, now with a
     // configurable --retry-limit to reach the exit quickly.
     ExperimentConfig ec = tiny();
-    ec.extraFaults = {{5000, 3, FaultKind::Kill},
-                      {5200, 4, FaultKind::Kill}};
-    ec.backupNode = 4;
-    ec.retryLimit = 6;
+    ec.faults.events = {{5000, 3, FaultKind::Kill},
+                        {5200, 4, FaultKind::Kill}};
+    ec.faults.backup = 4;
+    ec.faults.retryLimit = 6;
     EXPECT_EXIT(runSpec("em3d", SpecMode::None, ec),
                 ::testing::ExitedWithCode(1), "exhausted");
 }
@@ -404,7 +410,7 @@ TEST(FaultDeathTest, RetransmitBudgetExhaustionIsFatal)
     // the run dies with the structured transport fatal.
     ExperimentConfig ec = tiny();
     ec.topo.kind = TopoKind::Mesh2D;
-    ec.linkLoss = {{0, maxTick, 0, 1}};
+    ec.faults.linkLoss = {{0, maxTick, 0, 1}};
     EXPECT_EXIT(runSpec("em3d", SpecMode::None, ec),
                 ::testing::ExitedWithCode(1), "retransmit budget");
 }

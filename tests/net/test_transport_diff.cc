@@ -314,21 +314,21 @@ config(TopoKind kind, Tick jitter)
 
 } // namespace
 
-TEST(DrainDiff, CrossbarMatchesTwoStageReference)
+TEST(TransportDiff, CrossbarMatchesTwoStageReference)
 {
     for (std::uint64_t seed : {1u, 2u, 3u})
         expectEquivalent(config(TopoKind::Crossbar, 0), seed,
                          seed * 17 + 5, 600);
 }
 
-TEST(DrainDiff, CrossbarWithJitterMatchesTwoStageReference)
+TEST(TransportDiff, CrossbarWithJitterMatchesTwoStageReference)
 {
     for (std::uint64_t seed : {4u, 5u, 6u})
         expectEquivalent(config(TopoKind::Crossbar, 12), seed,
                          seed * 17 + 5, 600);
 }
 
-TEST(DrainDiff, RingMatchesTwoStageReference)
+TEST(TransportDiff, RingMatchesTwoStageReference)
 {
     for (std::uint64_t seed : {7u, 8u})
         expectEquivalent(config(TopoKind::Ring, 0), seed,
@@ -336,7 +336,7 @@ TEST(DrainDiff, RingMatchesTwoStageReference)
     expectEquivalent(config(TopoKind::Ring, 9), 9, 42, 600);
 }
 
-TEST(DrainDiff, Mesh2dMatchesTwoStageReference)
+TEST(TransportDiff, Mesh2dMatchesTwoStageReference)
 {
     for (std::uint64_t seed : {10u, 11u})
         expectEquivalent(config(TopoKind::Mesh2D, 0), seed,
@@ -344,7 +344,7 @@ TEST(DrainDiff, Mesh2dMatchesTwoStageReference)
     expectEquivalent(config(TopoKind::Mesh2D, 9), 12, 43, 600);
 }
 
-TEST(DrainDiff, Torus2dMatchesTwoStageReference)
+TEST(TransportDiff, Torus2dMatchesTwoStageReference)
 {
     for (std::uint64_t seed : {13u, 14u})
         expectEquivalent(config(TopoKind::Torus2D, 0), seed,
@@ -352,16 +352,16 @@ TEST(DrainDiff, Torus2dMatchesTwoStageReference)
     expectEquivalent(config(TopoKind::Torus2D, 9), 15, 44, 600);
 }
 
-TEST(DrainDiff, DenseSameDestinationBacklog)
+TEST(TransportDiff, DenseSameDestinationBacklog)
 {
-    // The ingress_batch bench's shape: every source hammers one hot
-    // node, so its ingress NI spends the whole run inside one busy
-    // period and every message queues behind the backlog.
+    // The net/ingress_serial bench's shape: every source hammers one
+    // hot node, so its ingress NI spends the whole run inside one
+    // busy period and every message queues behind the backlog.
     ProtoConfig cfg;
     std::vector<Send> plan;
     Tick t = 0;
     for (int i = 0; i < 800; ++i) {
-        t += (i % 3 == 0) ? 1 : 0; // much faster than the NI drains
+        t += (i % 3 == 0) ? 1 : 0; // much faster than the NI serves them
         Send s;
         s.when = t;
         s.msg.src = static_cast<NodeId>(1 + i % 15);

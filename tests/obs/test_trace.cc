@@ -114,7 +114,7 @@ TEST(Trace, RoundTripBalancedAndPaired)
 {
     const std::string path = testing::TempDir() + "mspdsm_trace.json";
     ExperimentConfig ec = tiny();
-    ec.tracePath = path;
+    ec.obs.tracePath = path;
     const RunResult traced =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(traced.status, RunStatus::Completed);
@@ -181,9 +181,9 @@ TEST(Trace, WindowFiltersEverything)
     const std::string path =
         testing::TempDir() + "mspdsm_trace_window.json";
     ExperimentConfig ec = tiny();
-    ec.tracePath = path;
-    ec.traceFrom = 30000;
-    ec.traceTo = 80000;
+    ec.obs.tracePath = path;
+    ec.obs.traceFrom = 30000;
+    ec.obs.traceTo = 80000;
     const RunResult r = runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
 
@@ -217,10 +217,9 @@ TEST(Trace, SeriesBracketsTheOutage)
     // dip between kill and restart and the recovery after it -- the
     // timeline fig11's three-point phase readout only summarizes.
     ExperimentConfig ec = tiny();
-    ec.failNode = 3;
-    ec.failTick = 40000;
-    ec.recoverTick = 70000;
-    ec.sampleInterval = 5000;
+    ec.faults.events = {{40000, 3, FaultKind::Kill},
+                        {70000, 3, FaultKind::Restart}};
+    ec.obs.sampleInterval = 5000;
     const RunResult r = runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(r.status, RunStatus::Completed);
     EXPECT_EQ(r.seriesInterval, 5000u);
@@ -280,7 +279,7 @@ TEST(Trace, SamplerPerturbsNothingButTheEndTick)
     const RunResult plain =
         runSpec("em3d", SpecMode::SwiFirstRead, tiny());
     ExperimentConfig ec = tiny();
-    ec.sampleInterval = 7000;
+    ec.obs.sampleInterval = 7000;
     const RunResult sampled =
         runSpec("em3d", SpecMode::SwiFirstRead, ec);
     EXPECT_EQ(sampled.messages, plain.messages);
@@ -299,7 +298,7 @@ TEST(Trace, LossyLinkStretchesTheLatencyTail)
     ExperimentConfig clean = tiny();
     clean.topo.kind = TopoKind::Mesh2D;
     ExperimentConfig lossy = clean;
-    lossy.linkLoss = {{0, maxTick, 0, 3}};
+    lossy.faults.linkLoss = {{0, maxTick, 0, 3}};
     const RunResult rc = runSpec("em3d", SpecMode::SwiFirstRead, clean);
     const RunResult rl = runSpec("em3d", SpecMode::SwiFirstRead, lossy);
     EXPECT_EQ(rc.status, RunStatus::Completed);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "workload/suite.hh"
@@ -79,6 +80,18 @@ TEST(Suite, Table2InputsRecorded)
 TEST(Suite, MakeAppRejectsUnknown)
 {
     EXPECT_DEATH(makeApp("notanapp", smallParams()), "unknown");
+}
+
+TEST(Suite, MakeAppRejectsNegativeOrNonFiniteScale)
+{
+    // Generators size regions as unsigned(k * scale): undefined for
+    // these, so they must be refused before any generator runs.
+    for (const double scale : {-1.0, std::nan(""), HUGE_VAL}) {
+        AppParams p = smallParams();
+        p.scale = scale;
+        EXPECT_EXIT(makeApp("em3d", p), ::testing::ExitedWithCode(1),
+                    "scale");
+    }
 }
 
 TEST(Suite, EveryAppGeneratesOneTracePerProcessor)
