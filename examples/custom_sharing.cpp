@@ -22,7 +22,7 @@ namespace
  * halves -- each block's reader changes with the round structure,
  * which a depth-1 predictor cannot track but a deeper one can.
  */
-std::vector<Trace>
+Workload
 makeTreeExchange(const ProtoConfig &proto, unsigned rounds)
 {
     const unsigned n = proto.numNodes;
@@ -31,7 +31,7 @@ makeTreeExchange(const ProtoConfig &proto, unsigned rounds)
     for (unsigned q = 0; q < n; ++q)
         cell[q] = layout.allocAt(NodeId(q), 4);
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
     for (unsigned r = 0; r < rounds; ++r) {
         for (unsigned level = 1; level < 8; level <<= 1) {
             for (unsigned q = 0; q < n; ++q)
@@ -56,10 +56,7 @@ makeTreeExchange(const ProtoConfig &proto, unsigned rounds)
             }
         }
     }
-    std::vector<Trace> traces;
-    for (unsigned q = 0; q < n; ++q)
-        traces.push_back(tb[q].take());
-    return traces;
+    return layout.finish("tree-exchange", proto.netJitter, tb);
 }
 
 } // namespace
@@ -77,8 +74,8 @@ main()
                          {PredKind::Msp, depth},
                          {PredKind::Vmsp, depth}};
         DsmSystem sys(cfg);
-        const auto traces = makeTreeExchange(cfg.proto, 12);
-        const RunResult r = sys.run(traces);
+        const Workload w = makeTreeExchange(cfg.proto, 12);
+        const RunResult r = sys.run(w);
         for (const ObserverResult &o : r.observers) {
             std::printf("%-8zu  %-8s  %9.1f%%  %9.1f%%\n", depth,
                         o.name.c_str(), o.stats.accuracyPct(),

@@ -23,7 +23,7 @@ namespace
  * -- the pattern the paper's Section 4.1 motivates with parallel
  * database message buffers.
  */
-std::vector<Trace>
+Workload
 makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
 {
     const unsigned n = proto.numNodes;
@@ -33,7 +33,7 @@ makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
     for (unsigned q = 0; q < n; ++q)
         buf[q] = layout.allocAt(NodeId(q), blocks);
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
     for (unsigned r = 0; r < rounds; ++r) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -56,10 +56,7 @@ makeMessageBuffers(const ProtoConfig &proto, unsigned rounds)
             }
         }
     }
-    std::vector<Trace> traces;
-    for (unsigned q = 0; q < n; ++q)
-        traces.push_back(tb[q].take());
-    return traces;
+    return layout.finish("message-buffers", proto.netJitter, tb);
 }
 
 } // namespace
@@ -77,8 +74,8 @@ main()
         cfg.proto.netJitter = 24;
 
         DsmSystem sys(cfg);
-        const auto traces = makeMessageBuffers(cfg.proto, 30);
-        const RunResult r = sys.run(traces);
+        const Workload w = makeMessageBuffers(cfg.proto, 30);
+        const RunResult r = sys.run(w);
         if (mode == SpecMode::None)
             base_ticks = r.execTicks;
 

@@ -151,6 +151,15 @@ DsmSystem::run(const std::vector<Trace> &traces)
 }
 
 RunResult
+DsmSystem::run(const Workload &w)
+{
+    // Parked on the system for the trace overload's reason.
+    ownedWorkload_ =
+        std::make_unique<const CompiledWorkload>(w, AddrMap(cfg_.proto));
+    return run(*ownedWorkload_);
+}
+
+RunResult
 DsmSystem::run(const CompiledWorkload &w)
 {
     fatal_if(w.numTraces() != procs_.size(),

@@ -189,7 +189,7 @@ struct RunResult
  *   cfg.pred = PredKind::Vmsp;
  *   cfg.spec = SpecMode::SwiFirstRead;
  *   DsmSystem sys(cfg);
- *   RunResult r = sys.run(workload.traces);
+ *   RunResult r = sys.run(makeApp("em3d", AppParams{}));
  * @endcode
  */
 class DsmSystem
@@ -211,6 +211,13 @@ class DsmSystem
      * @return aggregated statistics
      */
     RunResult run(const std::vector<Trace> &traces);
+
+    /**
+     * Execute a generated workload, laid out into a compilation the
+     * system keeps, as the trace overload does. Fatal if @p w was
+     * packed for another block size.
+     */
+    RunResult run(const Workload &w);
 
     /**
      * Execute a pre-compiled workload (one span per processor). The

@@ -18,7 +18,7 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Everything generation and compilation can observe. */
+/** Everything generation can observe. */
 using Key = std::tuple<std::string, unsigned, std::uint64_t, unsigned,
                        std::uint64_t, unsigned, unsigned, unsigned>;
 

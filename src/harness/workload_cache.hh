@@ -3,13 +3,14 @@
  * Cross-run compiled-workload cache.
  *
  * Every paper figure/table sweeps one application across many
- * configurations (history depths, speculation modes), and before this
- * cache each run regenerated and recompiled the same traces from
- * scratch -- fig8_history built the em3d workload three times, once
- * per depth, and the whole suite repeated that per app. Workload
+ * configurations (history depths, speculation modes); without this
+ * cache each run would regenerate the same workload from scratch --
+ * fig8_history would build the em3d workload three times, once per
+ * depth, and the whole suite would repeat that per app. Workload
  * generation is pure (a function of the app name, AppParams, and the
- * block/page geometry) and a CompiledWorkload is immutable, so one
- * compiled instance can back any number of concurrent runs.
+ * block/page geometry) and packs straight into the op stream, and a
+ * CompiledWorkload is immutable, so one instance, generated and laid
+ * into its arena once, can back any number of concurrent runs.
  *
  * The cache is process-wide and thread-safe: SweepRunner workers
  * racing for the same key wait on a shared future while the first
@@ -34,7 +35,7 @@ namespace mspdsm
 /** Observability counters for the cache (sweep JSON, CI). */
 struct WorkloadCacheStats
 {
-    std::uint64_t generations = 0; //!< makeApp+compile actually run
+    std::uint64_t generations = 0; //!< makeApp+layout actually run
     std::uint64_t hits = 0;        //!< requests served from the cache
     std::uint64_t failures = 0;    //!< generations that threw (the
                                    //!< entry is dropped so later
@@ -46,11 +47,11 @@ class WorkloadCache
 {
   public:
     /**
-     * The compiled workload for (@p app, @p p), generated and
-     * compiled at most once per process for any given key. The key
-     * covers the app name, every AppParams field, and the geometry
-     * fields of AppParams::proto that generation or compilation can
-     * observe (block size, page size, node count).
+     * The compiled workload for (@p app, @p p), generated at most
+     * once per process for any given key. The key covers the app
+     * name, every AppParams field, and the geometry fields of
+     * AppParams::proto that generation can observe (block size, page
+     * size, node count).
      */
     static std::shared_ptr<const CompiledWorkload>
     get(const std::string &app, const AppParams &p);

@@ -47,7 +47,7 @@ makeAppbt(const AppParams &p)
             layout.allocAt(NodeId((q + n / 2 + 1) % n), edge);
     }
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned phase = 0; phase < 2; ++phase) {
             for (unsigned q = 0; q < n; ++q)
@@ -107,12 +107,7 @@ makeAppbt(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
-    w.name = "appbt";
-    w.netJitter = 8;
-    for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
-    return w;
+    return layout.finish("appbt", 8, tb);
 }
 
 } // namespace mspdsm

@@ -65,7 +65,7 @@ makeBarnes(const AppParams &p)
         }
     }
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -79,7 +79,7 @@ makeBarnes(const AppParams &p)
                                   rng.uniform(0, n - 1));
         }
         {
-            std::vector<PhaseSchedule> sched(n);
+            std::vector<PhaseSchedule> sched = layout.schedules(n);
             for (unsigned c = 0; c < cells; ++c) {
                 const Tick t = rng.uniform(0, 4000);
                 sched[writer[c]].at(t,
@@ -100,7 +100,7 @@ makeBarnes(const AppParams &p)
 
         // Force traversal.
         {
-            std::vector<PhaseSchedule> sched(n);
+            std::vector<PhaseSchedule> sched = layout.schedules(n);
             for (unsigned c = 0; c < cells; ++c) {
                 if (c < stable_cells) {
                     // Stable arrival order: rank stagger dominates.
@@ -142,12 +142,8 @@ makeBarnes(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
-    w.name = "barnes";
-    w.netJitter = 0; // "minimal queueing": acks arrive in order
-    for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
-    return w;
+    // Net jitter 0: "minimal queueing": acks arrive in order.
+    return layout.finish("barnes", 0, tb);
 }
 
 } // namespace mspdsm

@@ -1,24 +1,22 @@
 /**
  * @file
- * Trace compilation: the workload front end the processors execute.
+ * The compiled workload: the packed op streams the processors execute.
  *
- * Generators keep emitting 24-byte TraceOps (convenient to build and
- * to test against), but the simulator never executes them directly
- * any more. Before a run, each Trace is *compiled* into a flat arena
- * of packed 8-byte ops:
+ * Generators pack as they go (TraceBuilder, layout.hh), so a
+ * Workload already holds 8-byte CompiledOps:
  *
- *  - the BlockId is precomputed from the run's AddrMap, so the
- *    per-access address-to-block mapping disappears from the hot
+ *  - the BlockId is precomputed from the layout's AddrMap, so the
+ *    per-access address-to-block mapping is absent from the hot
  *    loop (a memory op's payload IS its block);
  *  - consecutive Compute ops are fused into a single delay -- a pure
  *    timing transformation, since back-to-back delays touch no state
  *    the rest of the machine can observe between them.
  *
- * A round-trip decoder reconstructs the TraceOp stream for tests:
- * decode(compile(t)) == canonicalTrace(t), where the canonical form
- * differs from the original only by compute fusion and block
- * alignment of addresses, both timing-invariant (every generator
- * emits block-aligned addresses already).
+ * A CompiledWorkload lays those per-processor streams into one flat
+ * arena that any number of runs can share. Hand-written TraceOp
+ * traces reach the same format through compileTrace, which feeds the
+ * generators' own builder; decodeTrace turns a packed span back into
+ * TraceOps, and compileTrace(decodeTrace(s)) == s for every stream.
  */
 
 #ifndef MSPDSM_WORKLOAD_COMPILED_TRACE_HH
@@ -34,42 +32,6 @@
 
 namespace mspdsm
 {
-
-/**
- * One packed trace operation: 2 bits of kind, 62 bits of payload
- * (BlockId for memory ops, fused cycle count for Compute, 0 for
- * Barrier). The processors stream billions of these, so the layout
- * is a single word: one load, a mask, and a shift per decoded field.
- */
-struct CompiledOp
-{
-    std::uint64_t bits = 0;
-
-    static constexpr unsigned kindBits = 2;
-    static constexpr unsigned payloadShift = kindBits;
-    static constexpr std::uint64_t kindMask = (1u << kindBits) - 1;
-    static constexpr std::uint64_t payloadMax =
-        ~std::uint64_t{0} >> payloadShift;
-
-    static CompiledOp
-    make(OpKind k, std::uint64_t payload)
-    {
-        CompiledOp op;
-        op.bits = static_cast<std::uint64_t>(k) | (payload << payloadShift);
-        return op;
-    }
-
-    OpKind kind() const { return static_cast<OpKind>(bits & kindMask); }
-
-    /** BlockId (Read/Write) or fused delay in cycles (Compute). */
-    std::uint64_t payload() const { return bits >> payloadShift; }
-
-    bool operator==(const CompiledOp &) const = default;
-};
-
-static_assert(sizeof(CompiledOp) == 8,
-              "packed compiled op is streamed once per executed trace "
-              "operation; keep it one word");
 
 /**
  * A per-processor view into the compiled arena: pointer + length,
@@ -96,7 +58,11 @@ struct CompiledTrace
 class CompiledWorkload
 {
   public:
-    /** Compile @p w with the run's address mapping. */
+    /**
+     * Lay out @p w for a run with address mapping @p map. Fatal if
+     * @p w was packed for another block size: its block ids would
+     * name the wrong blocks.
+     */
     CompiledWorkload(const Workload &w, const AddrMap &map);
 
     /** Compile bare traces (no name/jitter; tests and direct runs). */
@@ -123,7 +89,7 @@ class CompiledWorkload
     /** Total packed ops across all processors. */
     std::size_t totalOps() const { return arena_.size(); }
 
-    /** TraceOps in the source workload (compile ratio diagnostics). */
+    /** Ops the workload was packed from (compile ratio diagnostics). */
     std::size_t sourceOps() const { return sourceOps_; }
 
     /** Geometry the block ids were computed with. */
@@ -145,9 +111,8 @@ class CompiledWorkload
 };
 
 /**
- * Compile one trace (without workload bookkeeping); appends to
- * @p out and returns the number of ops emitted. Exposed for tests
- * and the compile microbench.
+ * Pack one hand-written trace through TraceBuilder; appends to
+ * @p out and returns the number of ops emitted.
  */
 std::size_t compileTrace(const Trace &t, const AddrMap &map,
                          std::vector<CompiledOp> &out);
@@ -157,16 +122,6 @@ std::size_t compileTrace(const Trace &t, const AddrMap &map,
  * block-aligned (blk * blockSize); fused computes stay fused.
  */
 Trace decodeTrace(const CompiledTrace &t, unsigned blockSize);
-
-/**
- * The canonical form of a trace: consecutive Compute ops merged,
- * zero-cycle computes dropped, and addresses aligned down to their
- * block. decode(compile(t)) == canonicalTrace(t) for every trace;
- * for the repo's generators (which emit aligned addresses and whose
- * builders already drop zero delays) the canonical form is also
- * cycle-for-cycle identical to the original.
- */
-Trace canonicalTrace(const Trace &t, const AddrMap &map);
 
 } // namespace mspdsm
 

@@ -39,7 +39,7 @@ makeEm3d(const AppParams &p)
     // matching the paper's em3d FR coverage.
     auto degree = [](unsigned i) { return 2u + (i & 1u); };
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -81,12 +81,8 @@ makeEm3d(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
-    w.name = "em3d";
-    w.netJitter = 40; // concurrent invalidations race (Section 7.1)
-    for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
-    return w;
+    // Net jitter 40: concurrent invalidations race (Section 7.1).
+    return layout.finish("em3d", 40, tb);
 }
 
 } // namespace mspdsm

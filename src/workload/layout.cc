@@ -40,6 +40,10 @@ Layout::allocAt(NodeId home, unsigned nblocks)
 void
 PhaseSchedule::emit(TraceBuilder &trace)
 {
+    panic_if(trace.map().blockSizeBytes() != map_.blockSizeBytes(),
+             "phase schedule packed for ", map_.blockSizeBytes(),
+             "-byte blocks, builder for ", trace.map().blockSizeBytes());
+    // stable_sort keeps insertion order among equal offsets.
     std::stable_sort(items_.begin(), items_.end(),
                      [](const Item &a, const Item &b) {
                          return a.t < b.t;
@@ -50,24 +54,30 @@ PhaseSchedule::emit(TraceBuilder &trace)
             trace.compute(it.t - now);
             now = it.t;
         }
-        switch (it.op.kind) {
-          case OpKind::Compute:
-            trace.compute(it.op.cycles);
-            now += it.op.cycles;
-            break;
-          case OpKind::Read:
-            trace.read(it.op.addr);
-            break;
-          case OpKind::Write:
-            trace.write(it.op.addr);
-            break;
-          case OpKind::Barrier:
-            trace.barrier();
-            break;
-        }
+        trace.append(it.op);
+        if (it.op.kind() == OpKind::Compute)
+            now += it.op.payload();
     }
     items_.clear();
-    seq_ = 0;
+}
+
+Workload
+Layout::finish(std::string name, Tick netJitter,
+               std::vector<TraceBuilder> &tb) const
+{
+    Workload w;
+    w.name = std::move(name);
+    w.netJitter = netJitter;
+    w.blockSize = map_.blockSizeBytes();
+    w.traces.reserve(tb.size());
+    for (TraceBuilder &b : tb) {
+        panic_if(b.map().blockSizeBytes() != w.blockSize,
+                 "trace builder packed for ", b.map().blockSizeBytes(),
+                 "-byte blocks, layout uses ", w.blockSize);
+        w.sourceOps += b.sourceOps();
+        w.traces.push_back(b.take());
+    }
+    return w;
 }
 
 Region

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared-address-space layout helpers for the workload generators.
+ * Shared-address-space layout and the generators' trace packer.
  *
  * Home assignment is page-interleaved (ProtoConfig::homeOf), so a
  * generator that wants a region homed at a particular node allocates
@@ -9,13 +9,23 @@
  * early-write-invalidate table is per home node, so consecutive
  * writes by a producer only trigger SWI when they reach the same
  * home, exactly as in a hardware implementation.
+ *
+ * The Layout also hands out the TraceBuilders and PhaseSchedules a
+ * generator writes through, carrying its block geometry: each op is
+ * packed into an 8-byte CompiledOp as it is emitted (block id
+ * precomputed, compute delays fused), so generation is the only pass
+ * between a generator and the stream the processors execute.
+ * TraceBuilder is the one home of the packing rules; compileTrace
+ * feeds hand-written traces through it too.
  */
 
 #ifndef MSPDSM_WORKLOAD_LAYOUT_HH
 #define MSPDSM_WORKLOAD_LAYOUT_HH
 
+#include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "proto/config.hh"
 #include "workload/trace.hh"
@@ -39,30 +49,97 @@ struct Region
 };
 
 /**
- * Page-granular allocator over the simulated address space.
+ * Pack one op for @p map, without fusion: a memory op's address
+ * becomes its AddrMap::blockOf block id, and every payload is range
+ * checked before it is shifted into place. A zero delay packs as is;
+ * TraceBuilder::append drops it.
  */
-class Layout
+inline CompiledOp
+packOp(const TraceOp &op, const AddrMap &map)
+{
+    switch (op.kind) {
+      case OpKind::Compute:
+        // Validating the operand here keeps the fused sum in
+        // TraceBuilder::append exact: with both addends capped at
+        // payloadMax (2^62-1) the uint64 sum cannot wrap.
+        panic_if(op.cycles > CompiledOp::payloadMax,
+                 "compute delay overflows the packed op");
+        return CompiledOp::make(OpKind::Compute, op.cycles);
+      case OpKind::Read:
+      case OpKind::Write: {
+        const BlockId blk = map.blockOf(op.addr);
+        panic_if(blk > CompiledOp::payloadMax,
+                 "block id overflows the packed op");
+        return CompiledOp::make(op.kind, blk);
+      }
+      case OpKind::Barrier:
+        break;
+    }
+    return CompiledOp::make(OpKind::Barrier, 0);
+}
+
+/**
+ * Builder of one processor's packed trace. Zero delays are dropped
+ * and adjacent delays fused into one -- a pure timing transformation,
+ * since nothing observes the processor between two back-to-back
+ * delays.
+ */
+class TraceBuilder
 {
   public:
-    explicit Layout(const ProtoConfig &cfg)
-        : cfg_(cfg)
+    explicit TraceBuilder(const AddrMap &map)
+        : map_(map)
     {}
 
-    /**
-     * Allocate @p nblocks contiguous blocks starting on the next page
-     * whose home is @p home. Pages are never shared between regions.
-     */
-    Region allocAt(NodeId home, unsigned nblocks);
+    TraceBuilder &compute(Tick c) { return add(TraceOp::compute(c)); }
+    TraceBuilder &read(Addr a) { return add(TraceOp::read(a)); }
+    TraceBuilder &write(Addr a) { return add(TraceOp::write(a)); }
+    TraceBuilder &barrier() { return add(TraceOp::barrier()); }
 
-    /** Allocate without a home constraint (spread over nodes). */
-    Region alloc(unsigned nblocks);
+    /** Pack and append one op. */
+    TraceBuilder &add(const TraceOp &op) { return append(packOp(op, map_)); }
 
-    /** Pages consumed so far. */
-    std::uint64_t pagesUsed() const { return nextPage_; }
+    /** Append an op already packed for this builder's geometry. */
+    TraceBuilder &
+    append(CompiledOp op)
+    {
+        if (op.kind() == OpKind::Compute) {
+            if (op.payload() == 0)
+                return *this; // timing no-op
+            if (!ops_.empty() && ops_.back().kind() == OpKind::Compute) {
+                const std::uint64_t fused =
+                    ops_.back().payload() + op.payload();
+                panic_if(fused > CompiledOp::payloadMax,
+                         "fused compute delay overflows the packed op");
+                ops_.back() = CompiledOp::make(OpKind::Compute, fused);
+                ++sourceOps_;
+                return *this;
+            }
+        }
+        ops_.push_back(op);
+        ++sourceOps_;
+        return *this;
+    }
+
+    /** Reserve room for @p n packed operations. */
+    void reserve(std::size_t n) { ops_.reserve(n); }
+
+    /** Move the packed operations out. */
+    PackedTrace take() { return std::move(ops_); }
+
+    /** Packed operations so far. */
+    std::size_t size() const { return ops_.size(); }
+
+    /** Ops appended so far, counting each fused delay and no zero one. */
+    std::size_t sourceOps() const { return sourceOps_; }
+
+    /** The geometry this builder packs for. */
+    const AddrMap &map() const { return map_; }
 
   private:
-    const ProtoConfig &cfg_;
-    std::uint64_t nextPage_ = 0;
+    AddrMap map_;
+    PackedTrace ops_;
+    std::size_t sourceOps_ = 0;
 };
 
 /**
@@ -80,71 +157,76 @@ class Layout
 class PhaseSchedule
 {
   public:
+    explicit PhaseSchedule(const AddrMap &map)
+        : map_(map)
+    {}
+
     /** Register @p op at offset @p t from the phase start. */
     void
-    at(Tick t, TraceOp op)
+    at(Tick t, const TraceOp &op)
     {
-        items_.push_back(Item{t, seq_++, op});
+        items_.push_back(Item{t, packOp(op, map_)});
     }
 
     /** Sort by offset (stable) and append to @p trace. */
-    void emit(class TraceBuilder &trace);
+    void emit(TraceBuilder &trace);
 
   private:
     struct Item
     {
         Tick t;
-        std::uint64_t seq;
-        TraceOp op;
+        CompiledOp op;
     };
 
+    AddrMap map_;
     std::vector<Item> items_;
-    std::uint64_t seq_ = 0;
 };
 
 /**
- * Convenience builder for one processor's trace.
+ * Page-granular allocator over the simulated address space, and the
+ * source of the builders that pack for its geometry.
  */
-class TraceBuilder
+class Layout
 {
   public:
-    TraceBuilder &
-    compute(Tick c)
+    explicit Layout(const ProtoConfig &cfg)
+        : cfg_(cfg), map_(cfg)
+    {}
+
+    /**
+     * Allocate @p nblocks contiguous blocks starting on the next page
+     * whose home is @p home. Pages are never shared between regions.
+     */
+    Region allocAt(NodeId home, unsigned nblocks);
+
+    /** Allocate without a home constraint (spread over nodes). */
+    Region alloc(unsigned nblocks);
+
+    /** Pages consumed so far. */
+    std::uint64_t pagesUsed() const { return nextPage_; }
+
+    /** @p n empty trace builders, one per processor. */
+    std::vector<TraceBuilder>
+    builders(unsigned n) const
     {
-        if (c > 0)
-            ops_.push_back(TraceOp::compute(c));
-        return *this;
+        return std::vector<TraceBuilder>(n, TraceBuilder(map_));
     }
 
-    TraceBuilder &
-    read(Addr a)
+    /** @p n empty phase schedules, one per processor. */
+    std::vector<PhaseSchedule>
+    schedules(unsigned n) const
     {
-        ops_.push_back(TraceOp::read(a));
-        return *this;
+        return std::vector<PhaseSchedule>(n, PhaseSchedule(map_));
     }
 
-    TraceBuilder &
-    write(Addr a)
-    {
-        ops_.push_back(TraceOp::write(a));
-        return *this;
-    }
-
-    TraceBuilder &
-    barrier()
-    {
-        ops_.push_back(TraceOp::barrier());
-        return *this;
-    }
-
-    /** Move the accumulated operations out. */
-    Trace take() { return std::move(ops_); }
-
-    /** Number of operations so far. */
-    std::size_t size() const { return ops_.size(); }
+    /** Collect @p tb (one builder per processor) into a workload. */
+    Workload finish(std::string name, Tick netJitter,
+                    std::vector<TraceBuilder> &tb) const;
 
   private:
-    Trace ops_;
+    const ProtoConfig &cfg_;
+    AddrMap map_;
+    std::uint64_t nextPage_ = 0;
 };
 
 } // namespace mspdsm

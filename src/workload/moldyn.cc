@@ -43,7 +43,7 @@ makeMoldyn(const AppParams &p)
     for (unsigned h = 0; h < n; ++h)
         mig[h] = layout.allocAt(NodeId(h), chunk);
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -88,7 +88,7 @@ makeMoldyn(const AppParams &p)
         // order is stable across iterations, and a visitor works
         // through the whole chunk at each slot (back-to-back writes
         // to one home).
-        std::vector<PhaseSchedule> sched(n);
+        std::vector<PhaseSchedule> sched = layout.schedules(n);
         for (unsigned h = 0; h < n; ++h) {
             for (unsigned j = 0; j < hops; ++j) {
                 const unsigned q = (h + j * 3) % n;
@@ -108,12 +108,8 @@ makeMoldyn(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
-    w.name = "moldyn";
-    w.netJitter = 40; // consumer acks race
-    for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
-    return w;
+    // Net jitter 40: consumer acks race.
+    return layout.finish("moldyn", 40, tb);
 }
 
 } // namespace mspdsm

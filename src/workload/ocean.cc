@@ -54,7 +54,7 @@ makeOcean(const AppParams &p)
     const Region sum = layout.allocAt(NodeId(0), 1);
 
     Rng rng(p.seed);
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
 
     // Cold start: private data is touched once and never communicates
     // again; read-only data is only ever read.
@@ -133,12 +133,8 @@ makeOcean(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
-    w.name = "ocean";
-    w.netJitter = 30; // moderate queueing: corner acks can race
-    for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
-    return w;
+    // Net jitter 30: moderate queueing: corner acks can race.
+    return layout.finish("ocean", 30, tb);
 }
 
 } // namespace mspdsm

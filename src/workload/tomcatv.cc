@@ -36,7 +36,7 @@ makeTomcatv(const AppParams &p)
         region[q] =
             layout.allocAt(NodeId((q + n / 2) % n), blocks_per_proc);
 
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
             tb[q].barrier();
@@ -80,12 +80,8 @@ makeTomcatv(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
-    w.name = "tomcatv";
-    w.netJitter = 8; // single consumer: nothing to re-order
-    for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
-    return w;
+    // Net jitter 8: single consumer: nothing to re-order.
+    return layout.finish("tomcatv", 8, tb);
 }
 
 } // namespace mspdsm

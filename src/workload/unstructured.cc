@@ -45,7 +45,7 @@ makeUnstructured(const AppParams &p)
         red[h] = layout.allocAt(NodeId(h), chunk);
 
     Rng rng(p.seed);
-    std::vector<TraceBuilder> tb(n);
+    std::vector<TraceBuilder> tb = layout.builders(n);
 
     for (unsigned it = 0; it < iters; ++it) {
         for (unsigned q = 0; q < n; ++q)
@@ -68,7 +68,7 @@ makeUnstructured(const AppParams &p)
         // requests frequently swap ("high read request re-ordering")
         // while the global order stays roughly front-to-back.
         {
-            std::vector<PhaseSchedule> sched(n);
+            std::vector<PhaseSchedule> sched = layout.schedules(n);
             for (unsigned q = 0; q < n; ++q) {
                 for (unsigned i = 0; i < pc_blocks; ++i) {
                     for (unsigned r = 1; r <= readers; ++r) {
@@ -95,7 +95,7 @@ makeUnstructured(const AppParams &p)
         // skippers flip between two sequences -- unpredictable at
         // depth 1, captured by a deeper history (Sections 7.1-7.2).
         {
-            std::vector<PhaseSchedule> sched(n);
+            std::vector<PhaseSchedule> sched = layout.schedules(n);
             for (unsigned h = 0; h < n; ++h) {
                 unsigned slot = 0;
                 for (unsigned j = 0; j < 6; ++j) {
@@ -124,12 +124,8 @@ makeUnstructured(const AppParams &p)
     for (unsigned q = 0; q < n; ++q)
         tb[q].barrier();
 
-    Workload w;
-    w.name = "unstructured";
-    w.netJitter = 40; // wide sharing: heavy queueing and races
-    for (unsigned q = 0; q < n; ++q)
-        w.traces.push_back(tb[q].take());
-    return w;
+    // Net jitter 40: wide sharing: heavy queueing and races.
+    return layout.finish("unstructured", 40, tb);
 }
 
 } // namespace mspdsm

@@ -164,7 +164,7 @@ TEST(Coherence, FullAppSuiteRunsCleanBase)
         DsmConfig cfg;
         cfg.proto.netJitter = w.netJitter;
         DsmSystem sys(cfg);
-        const RunResult r = sys.run(w.traces);
+        const RunResult r = sys.run(w);
         EXPECT_GT(r.execTicks, 0u) << info.name;
         EXPECT_GT(r.reads, 0u) << info.name;
     }
@@ -183,7 +183,7 @@ TEST(Coherence, FullAppSuiteRunsCleanSwi)
         cfg.historyDepth = 1;
         cfg.spec = SpecMode::SwiFirstRead;
         DsmSystem sys(cfg);
-        const RunResult r = sys.run(w.traces);
+        const RunResult r = sys.run(w);
         EXPECT_GT(r.execTicks, 0u) << info.name;
     }
 }

@@ -73,6 +73,6 @@ TEST(Determinism, ObserversDoNotPerturbExecution)
     DsmConfig without;
     without.proto.netJitter = w.netJitter;
     DsmSystem s1(with), s2(without);
-    EXPECT_EQ(s1.run(w.traces).execTicks,
-              s2.run(w.traces).execTicks);
+    EXPECT_EQ(s1.run(w).execTicks,
+              s2.run(w).execTicks);
 }

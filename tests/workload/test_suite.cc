@@ -5,6 +5,8 @@
 #include <cmath>
 #include <set>
 
+#include "testutil.hh"
+#include "workload/compiled_trace.hh"
 #include "workload/suite.hh"
 
 using namespace mspdsm;
@@ -32,9 +34,9 @@ OpCounts
 count(const Workload &w)
 {
     OpCounts c;
-    for (const Trace &t : w.traces) {
-        for (const TraceOp &op : t) {
-            switch (op.kind) {
+    for (const PackedTrace &t : w.traces) {
+        for (const CompiledOp &op : t) {
+            switch (op.kind()) {
               case OpKind::Read:
                 ++c.reads;
                 break;
@@ -100,7 +102,7 @@ TEST(Suite, EveryAppGeneratesOneTracePerProcessor)
         const Workload w = makeApp(info.name, smallParams());
         EXPECT_EQ(w.name, info.name);
         EXPECT_EQ(w.traces.size(), 16u) << info.name;
-        for (const Trace &t : w.traces)
+        for (const PackedTrace &t : w.traces)
             EXPECT_FALSE(t.empty()) << info.name;
     }
 }
@@ -111,10 +113,10 @@ TEST(Suite, BarrierCountsMatchAcrossProcessors)
     for (const AppInfo &info : appSuite()) {
         const Workload w = makeApp(info.name, smallParams());
         std::uint64_t expected = ~0ull;
-        for (const Trace &t : w.traces) {
+        for (const PackedTrace &t : w.traces) {
             std::uint64_t n = 0;
-            for (const TraceOp &op : t)
-                n += op.kind == OpKind::Barrier;
+            for (const CompiledOp &op : t)
+                n += op.kind() == OpKind::Barrier;
             if (expected == ~0ull)
                 expected = n;
             EXPECT_EQ(n, expected) << info.name;
@@ -137,17 +139,8 @@ TEST(Suite, DeterministicForFixedSeed)
     for (const AppInfo &info : appSuite()) {
         const Workload a = makeApp(info.name, smallParams());
         const Workload b = makeApp(info.name, smallParams());
-        ASSERT_EQ(a.traces.size(), b.traces.size());
-        for (std::size_t q = 0; q < a.traces.size(); ++q) {
-            ASSERT_EQ(a.traces[q].size(), b.traces[q].size())
-                << info.name;
-            for (std::size_t i = 0; i < a.traces[q].size(); ++i) {
-                EXPECT_EQ(a.traces[q][i].kind, b.traces[q][i].kind);
-                EXPECT_EQ(a.traces[q][i].addr, b.traces[q][i].addr);
-                EXPECT_EQ(a.traces[q][i].cycles,
-                          b.traces[q][i].cycles);
-            }
-        }
+        EXPECT_TRUE(a.traces == b.traces) << info.name;
+        EXPECT_EQ(a.sourceOps, b.sourceOps) << info.name;
     }
 }
 
@@ -172,21 +165,19 @@ TEST(Suite, ScaleGrowsFootprint)
     AppParams small = smallParams();
     AppParams big = smallParams();
     big.scale = 1.0;
+    const auto blocks = [](const Workload &w) {
+        std::set<BlockId> touched;
+        for (const PackedTrace &t : w.traces)
+            for (const CompiledOp &op : t)
+                if (op.kind() == OpKind::Read ||
+                    op.kind() == OpKind::Write)
+                    touched.insert(op.payload());
+        return touched.size();
+    };
     for (const AppInfo &info : appSuite()) {
-        std::set<Addr> saddr, baddr;
-        const Workload ws = makeApp(info.name, small);
-        const Workload wb = makeApp(info.name, big);
-        for (const Trace &t : ws.traces)
-            for (const TraceOp &op : t)
-                if (op.kind == OpKind::Read ||
-                    op.kind == OpKind::Write)
-                    saddr.insert(op.addr / 32);
-        for (const Trace &t : wb.traces)
-            for (const TraceOp &op : t)
-                if (op.kind == OpKind::Read ||
-                    op.kind == OpKind::Write)
-                    baddr.insert(op.addr / 32);
-        EXPECT_GT(baddr.size(), saddr.size()) << info.name;
+        EXPECT_GT(blocks(makeApp(info.name, big)),
+                  blocks(makeApp(info.name, small)))
+            << info.name;
     }
 }
 
@@ -196,12 +187,33 @@ TEST(Suite, Em3dProducersOwnTheirRegions)
     // layout property SWI relies on).
     ProtoConfig proto;
     const Workload w = makeApp("em3d", smallParams());
+    EXPECT_EQ(w.blockSize, proto.blockSize);
     for (unsigned q = 0; q < w.traces.size(); ++q) {
-        for (const TraceOp &op : w.traces[q]) {
-            if (op.kind == OpKind::Write) {
-                EXPECT_EQ(proto.homeOf(proto.blockOf(op.addr)), q);
+        for (const CompiledOp &op : w.traces[q]) {
+            if (op.kind() == OpKind::Write) {
+                EXPECT_EQ(proto.homeOf(op.payload()), q);
             }
         }
+    }
+}
+
+TEST(Suite, PackedStreamsMatchThePins)
+{
+    // The scale-1 streams are what every full-scale record is made
+    // of; the scale-0.5 ones cover the generators' other sizing
+    // branches.
+    for (const test::PackedStreamPin &pin : test::packedStreamPins) {
+        AppParams p;
+        p.scale = pin.scale;
+        p.seed = 42;
+        const CompiledWorkload cw(makeApp(pin.app, p),
+                                  AddrMap(p.proto));
+        EXPECT_EQ(test::packedChecksum(cw), pin.checksum)
+            << pin.app << " scale " << pin.scale;
+        EXPECT_EQ(cw.sourceOps(), pin.sourceOps)
+            << pin.app << " scale " << pin.scale;
+        EXPECT_EQ(cw.totalOps(), pin.packedOps)
+            << pin.app << " scale " << pin.scale;
     }
 }
 
